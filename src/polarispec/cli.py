@@ -20,6 +20,11 @@ since JSON has no infinity literal.  Unknown keys anywhere are hard
 errors: a typo in a physics parameter must not silently fall back to a
 default.
 
+Each config object's keys are defined once, in the field table below:
+a key is also the attribute name of the object it parses into, its codec
+both parses and serializes it, and a model kind also names its chi and
+transitions functions.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical error,
 4 file I/O error.
 """
@@ -35,6 +40,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +58,6 @@ from .core import (
 from .spectra import (
     CavityParams,
     green_finite_n,
-    photon_green_function,
     spectra_from_green,
     spectra_harmonic,
 )
@@ -103,8 +108,20 @@ class ConfigError(ValidationError):
 
 @dataclass(frozen=True)
 class DisorderedTls:
-    base: TlsEnsemble
+    """Zero-temperature two-level ensemble with disordered excitation energies."""
+
+    n_emitters: float
+    g: float
+    omega_exc: float
+    gamma: float
     disorder: DisorderSpec
+
+    def __post_init__(self):
+        _ = self.base  # building the ensemble validates its parameters
+
+    @property
+    def base(self) -> TlsEnsemble:
+        return TlsEnsemble(self.n_emitters, self.g, self.omega_exc, math.inf, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -131,7 +148,6 @@ class OutputSpec:
 class Scenario:
     cavity: CavityParams
     model: object
-    model_kind: str
     grid: FrequencyGrid
     method: MethodSpec
     outputs: tuple[OutputSpec, ...] = ()
@@ -146,224 +162,236 @@ class Sweep:
 
 
 # ---------------------------------------------------------------------------
-# Strict config parsing
+# Field table: codecs, sections and model kinds
 
 
-def _check_keys(d: dict, path: str, required: tuple, optional: tuple = ()):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for k in d:
-        if k not in required and k not in optional:
-            raise ConfigError(f"{path}.{k}: unknown key")
-    for k in required:
-        if k not in d:
-            raise ConfigError(f"{path}.{k}: missing required key")
+class _Codec(NamedTuple):
+    parse: Callable  # (value, dotted path for messages) -> field value
+    dump: Callable  # field value -> JSON value
+    optional: bool  # may be absent; omitted from the dump when None or empty
 
 
-def _number(d: dict, path: str, key: str, default=None):
-    if key not in d:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: missing required key")
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _integer(d: dict, path: str, key: str):
-    v = d.get(key)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
+def _same(v):
     return v
 
 
-def _beta(d: dict, path: str, key: str) -> float:
-    v = d.get(key)
-    if v == "inf":
-        return math.inf
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(
-            f"{path}.{key}: expected a number or the string \"inf\", got {v!r}"
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _typed(accepts: Callable, expected: str, convert: Callable) -> _Codec:
+    def parse(v, path):
+        if not accepts(v):
+            raise ConfigError(f"{path}: expected {expected}, got {v!r}")
+        return convert(v)
+
+    return _Codec(parse, _same, False)
+
+
+def _rows(width: int, what: str) -> _Codec:
+    """A list of equal-length numeric rows, such as [omega, population] pairs."""
+    return _typed(
+        lambda v: isinstance(v, list)
+        and all(isinstance(r, list) and len(r) == width for r in v)
+        and all(_is_number(x) for r in v for x in r),
+        f"a list of {what}",
+        _same,
+    )._replace(dump=lambda rows: [list(r) for r in rows])
+
+
+def _parse_count(v, path: str) -> int:
+    if _INTEGER.parse(v, path) < 1:
+        raise ConfigError(f"{path}: must be >= 1")
+    return v
+
+
+def _optional(codec: _Codec) -> _Codec:
+    return codec._replace(optional=True)
+
+
+_NUMBER = _typed(_is_number, "a number", float)
+_INTEGER = _typed(lambda v: type(v) is int, "an integer", _same)  # excludes bool
+_COUNT = _Codec(_parse_count, _same, False)
+_BETA = _typed(
+    lambda v: v == "inf" or _is_number(v),
+    'a number or the string "inf"',
+    lambda v: math.inf if v == "inf" else float(v),
+)._replace(dump=lambda beta: "inf" if math.isinf(beta) else beta)
+_PATH = _typed(lambda v: v is None or isinstance(v, str), "a string or null", _same)
+_RAW = _Codec(lambda v, path: v, _same, False)  # checked where it is used
+
+
+class _Model(NamedTuple):
+    build: type
+    fields: dict  # config key (= attribute of the model) -> codec; "kind" is the table key
+    chi: Callable  # (model, grid) -> ComplexSpectrum
+    transitions: Callable | None  # model -> TransitionSet; None without transition data
+
+
+def _parse_fields(fields: dict, d, path: str, prefix: str) -> dict:
+    """Parsed values of the keys present in ``d``; unknown or missing keys are errors."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in d:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    for key, codec in fields.items():
+        if key not in d and not codec.optional:
+            raise ConfigError(f"{path}.{key}: missing required key")
+    return {k: codec.parse(d[k], prefix + k) for k, codec in fields.items() if k in d}
+
+
+def _dump_fields(fields: dict, obj) -> dict:
+    out = {}
+    for key, codec in fields.items():
+        v = getattr(obj, key)
+        if not (codec.optional and (v is None or v == ())):
+            out[key] = codec.dump(v)
+    return out
+
+
+def _section(build: Callable, fields: dict) -> _Codec:
+    """Codec of a config object whose keys are ``build``'s keyword arguments."""
+
+    def parse(d, path):
+        kwargs = _parse_fields(fields, d, path, f"{path}.")
+        try:
+            return build(**kwargs)
+        except ValidationError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+    return _Codec(parse, lambda obj: _dump_fields(fields, obj), False)
+
+
+def _tabulated_chi(model: TabulatedChi, grid: FrequencyGrid) -> ComplexSpectrum:
+    if model.path is None:
+        return ComplexSpectrum(grid, np.zeros(grid.n_points, dtype=complex))
+    chi = fileio.read_chi_csv(model.path)
+    if chi.grid == grid:
+        return chi
+    if grid.omega_min < chi.grid.omega_min or grid.omega_max > chi.grid.omega_max:
+        raise ValidationError(
+            "scenario grid extends beyond the tabulated susceptibility range"
         )
-    return float(v)
+    re = np.interp(grid.points, chi.grid.points, chi.values.real)
+    im = np.interp(grid.points, chi.grid.points, chi.values.imag)
+    return ComplexSpectrum(grid, re + 1j * im)
 
 
-def _parse_model(cfg: dict) -> tuple[object, str]:
-    _check_keys_any = cfg.get("kind")
-    if _check_keys_any is None:
-        raise ConfigError("model.kind: missing required key")
-    kind = cfg["kind"]
-    try:
-        if kind == "tls":
-            _check_keys(
-                cfg, "model", ("kind", "n_emitters", "g", "omega_exc", "beta", "gamma")
-            )
-            return (
-                TlsEnsemble(
-                    _number(cfg, "model", "n_emitters"),
-                    _number(cfg, "model", "g"),
-                    _number(cfg, "model", "omega_exc"),
-                    _beta(cfg, "model", "beta"),
-                    _number(cfg, "model", "gamma"),
-                ),
-                kind,
-            )
-        if kind == "disordered_tls":
-            _check_keys(
-                cfg,
-                "model",
-                ("kind", "n_emitters", "g", "omega_exc", "gamma", "disorder"),
-            )
-            dis = cfg["disorder"]
-            _check_keys(dis, "model.disorder", ("kind", "center", "sigma"))
-            if dis["kind"] not in ("gaussian", "lorentzian"):
-                raise ConfigError(
-                    "model.disorder.kind: must be 'gaussian' or 'lorentzian'"
-                )
-            return (
-                DisorderedTls(
-                    TlsEnsemble(
-                        _number(cfg, "model", "n_emitters"),
-                        _number(cfg, "model", "g"),
-                        _number(cfg, "model", "omega_exc"),
-                        math.inf,
-                        _number(cfg, "model", "gamma"),
-                    ),
-                    DisorderSpec(
-                        dis["kind"],
-                        _number(dis, "model.disorder", "center"),
-                        _number(dis, "model.disorder", "sigma"),
-                    ),
-                ),
-                kind,
-            )
-        if kind == "vibronic":
-            _check_keys(
-                cfg,
-                "model",
-                ("kind", "n_emitters", "g", "omega_exc", "omega_v", "huang_rhys", "gamma"),
-                ("m_max",),
-            )
-            m_max = None
-            if "m_max" in cfg:
-                m_max = _integer(cfg, "model", "m_max")
-            return (
-                VibronicModel(
-                    _number(cfg, "model", "n_emitters"),
-                    _number(cfg, "model", "g"),
-                    _number(cfg, "model", "omega_exc"),
-                    _number(cfg, "model", "omega_v"),
-                    _number(cfg, "model", "huang_rhys"),
-                    _number(cfg, "model", "gamma"),
-                    m_max,
-                ),
-                kind,
-            )
-        if kind == "multilevel":
-            _check_keys(
-                cfg,
-                "model",
-                ("kind", "levels", "dipoles", "n_emitters", "g_scale", "gamma"),
-            )
-            levels = cfg["levels"]
-            dipoles = cfg["dipoles"]
-            if not isinstance(levels, list) or not all(
-                isinstance(x, list) and len(x) == 2 for x in levels
-            ):
-                raise ConfigError(
-                    "model.levels: expected a list of [omega, population] pairs"
-                )
-            if not isinstance(dipoles, list) or not all(
-                isinstance(x, list) and len(x) == 3 for x in dipoles
-            ):
-                raise ConfigError(
-                    "model.dipoles: expected a list of [low, high, amplitude] triples"
-                )
-            return (
-                MultilevelModel(
-                    levels,
-                    dipoles,
-                    _number(cfg, "model", "n_emitters"),
-                    _number(cfg, "model", "g_scale"),
-                    _number(cfg, "model", "gamma"),
-                ),
-                kind,
-            )
-        if kind == "tabulated_chi":
-            _check_keys(cfg, "model", ("kind", "path"))
-            path = cfg["path"]
-            if path is not None and not isinstance(path, str):
-                raise ConfigError("model.path: expected a string or null")
-            return TabulatedChi(path), kind
-    except ValidationError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"model: {exc}") from exc
-    raise ConfigError(f"model.kind: unknown model kind {kind!r}")
+_CAVITY = _section(
+    CavityParams, {"omega_ph": _NUMBER, "kappa_L": _NUMBER, "kappa_R": _NUMBER}
+)
+_GRID = _section(
+    FrequencyGrid, {"omega_min": _NUMBER, "omega_max": _NUMBER, "n_points": _INTEGER}
+)
+_FINITE_N = _section(
+    MethodSpec, {"kind": _RAW, "n_modes": _COUNT, "gamma_mode": _optional(_NUMBER)}
+)
+_OUTPUT = _section(OutputSpec, {"csv": _optional(_PATH), "svg": _optional(_PATH)})
+_DISORDER = _section(DisorderSpec, {"kind": _RAW, "center": _NUMBER, "sigma": _NUMBER})
+
+_MODELS = {
+    "tls": _Model(
+        TlsEnsemble,
+        {"n_emitters": _NUMBER, "g": _NUMBER, "omega_exc": _NUMBER, "beta": _BETA,
+         "gamma": _NUMBER},
+        chi_tls_thermal,
+        tls_transitions,
+    ),
+    "disordered_tls": _Model(
+        DisorderedTls,
+        {"n_emitters": _NUMBER, "g": _NUMBER, "omega_exc": _NUMBER, "gamma": _NUMBER,
+         "disorder": _DISORDER},
+        lambda m, grid: chi_disordered(m.base, m.disorder, grid),
+        None,
+    ),
+    "vibronic": _Model(
+        VibronicModel,
+        {"n_emitters": _NUMBER, "g": _NUMBER, "omega_exc": _NUMBER, "omega_v": _NUMBER,
+         "huang_rhys": _NUMBER, "gamma": _NUMBER, "m_max": _optional(_INTEGER)},
+        chi_vibronic,
+        vibronic_transitions,
+    ),
+    "multilevel": _Model(
+        MultilevelModel,
+        {"levels": _rows(2, "[omega, population] pairs"),
+         "dipoles": _rows(3, "[low, high, amplitude] triples"),
+         "n_emitters": _NUMBER, "g_scale": _NUMBER, "gamma": _NUMBER},
+        chi_three_level,
+        three_level_transitions,
+    ),
+    "tabulated_chi": _Model(TabulatedChi, {"path": _PATH}, _tabulated_chi, None),
+}
+_MODEL_KIND = {entry.build: kind for kind, entry in _MODELS.items()}
 
 
-def _parse_method(cfg) -> MethodSpec:
-    if cfg == "harmonic" or cfg == {"kind": "harmonic"}:
+def _model_kind(model) -> str:
+    kind = _MODEL_KIND.get(type(model))
+    if kind is None:
+        raise ValidationError(f"unknown model object {type(model).__name__}")
+    return kind
+
+
+def _parse_model(d, path: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object")
+    kind = d.get("kind")
+    if kind is None:
+        raise ConfigError(f"{path}.kind: missing required key")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
+    fields = {k: v for k, v in d.items() if k != "kind"}
+    return _section(_MODELS[kind].build, _MODELS[kind].fields).parse(fields, path)
+
+
+def _dump_model(model) -> dict:
+    kind = _model_kind(model)
+    return {"kind": kind, **_dump_fields(_MODELS[kind].fields, model)}
+
+
+def _parse_method(v, path: str) -> MethodSpec:
+    if v == "harmonic" or v == {"kind": "harmonic"}:
         return MethodSpec("harmonic")
-    if isinstance(cfg, dict):
-        _check_keys(cfg, "method", ("kind",), ("n_modes", "gamma_mode"))
-        if cfg.get("kind") == "finite_n":
-            if "n_modes" not in cfg:
-                raise ConfigError("method.n_modes: missing required key")
-            n_modes = _integer(cfg, "method", "n_modes")
-            if n_modes < 1:
-                raise ConfigError("method.n_modes: must be >= 1")
-            gamma_mode = None
-            if "gamma_mode" in cfg:
-                gamma_mode = _number(cfg, "method", "gamma_mode")
-            return MethodSpec("finite_n", n_modes, gamma_mode)
+    if isinstance(v, dict) and v.get("kind") == "finite_n":
+        return _FINITE_N.parse(v, path)
     raise ConfigError(
-        "method: expected \"harmonic\" or {\"kind\": \"finite_n\", \"n_modes\": M}"
+        f'{path}: expected "harmonic" or {{"kind": "finite_n", "n_modes": M}}'
     )
+
+
+def _parse_outputs(v, path: str) -> tuple:
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}: expected a list")
+    for i, out in enumerate(v):
+        if out == {}:
+            raise ConfigError(f"{path}[{i}]: needs a csv or svg path")
+    return tuple(_OUTPUT.parse(out, f"{path}[{i}]") for i, out in enumerate(v))
+
+
+_SCENARIO = {
+    "cavity": _CAVITY,
+    "model": _Codec(_parse_model, _dump_model, False),
+    "grid": _GRID,
+    "method": _Codec(
+        _parse_method,
+        lambda m: "harmonic" if m.kind == "harmonic" else _FINITE_N.dump(m),
+        False,
+    ),
+    "outputs": _Codec(_parse_outputs, lambda outs: [_OUTPUT.dump(o) for o in outs], True),
+}
 
 
 def parse_scenario(cfg: dict) -> Scenario:
     """Validate a scenario configuration dict into a runnable Scenario."""
-    _check_keys(cfg, "scenario", ("cavity", "model", "grid", "method"), ("outputs",))
-    cav_cfg = cfg["cavity"]
-    _check_keys(cav_cfg, "cavity", ("omega_ph", "kappa_L", "kappa_R"))
-    try:
-        cavity = CavityParams(
-            _number(cav_cfg, "cavity", "omega_ph"),
-            _number(cav_cfg, "cavity", "kappa_L"),
-            _number(cav_cfg, "cavity", "kappa_R"),
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"cavity: {exc}") from exc
-    model, kind = _parse_model(cfg["model"])
-    grid_cfg = cfg["grid"]
-    _check_keys(grid_cfg, "grid", ("omega_min", "omega_max", "n_points"))
-    try:
-        grid = make_grid(
-            _number(grid_cfg, "grid", "omega_min"),
-            _number(grid_cfg, "grid", "omega_max"),
-            _integer(grid_cfg, "grid", "n_points"),
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    method = _parse_method(cfg["method"])
-    outputs = []
-    for i, out in enumerate(cfg.get("outputs", [])):
-        _check_keys(out, f"outputs[{i}]", (), ("csv", "svg"))
-        if not out:
-            raise ConfigError(f"outputs[{i}]: needs a csv or svg path")
-        outputs.append(OutputSpec(out.get("csv"), out.get("svg")))
-    return Scenario(cavity, model, kind, grid, method, tuple(outputs))
+    return Scenario(**_parse_fields(_SCENARIO, cfg, "scenario", ""))
 
 
 def parse_sweep(cfg: dict) -> Sweep:
     """Validate a sweep configuration: base scenario, dotted path, values."""
-    _check_keys(cfg, "sweep", ("base", "parameter", "values"))
-    base_cfg = cfg["base"]
+    keys = ("base", "parameter", "values")
+    raw = _parse_fields(dict.fromkeys(keys, _RAW), cfg, "sweep", "sweep.")
+    base_cfg, parameter, values = (raw[k] for k in keys)
     base = parse_scenario(base_cfg)
-    parameter = cfg["parameter"]
-    values = cfg["values"]
     if not isinstance(parameter, str) or not parameter:
         raise ConfigError("sweep.parameter: expected a dotted path string")
     if not isinstance(values, list) or not values:
@@ -401,139 +429,38 @@ def _apply_parameter(cfg: dict, parameter: str, value) -> dict:
 
 def scenario_to_config(s: Scenario) -> dict:
     """Canonical configuration dict of a scenario (JSON-serializable)."""
-    m = s.model
-    if s.model_kind == "tls":
-        model = {
-            "kind": "tls",
-            "n_emitters": m.n_emitters,
-            "g": m.g,
-            "omega_exc": m.omega_exc,
-            "beta": "inf" if math.isinf(m.beta) else m.beta,
-            "gamma": m.gamma,
-        }
-    elif s.model_kind == "disordered_tls":
-        model = {
-            "kind": "disordered_tls",
-            "n_emitters": m.base.n_emitters,
-            "g": m.base.g,
-            "omega_exc": m.base.omega_exc,
-            "gamma": m.base.gamma,
-            "disorder": {
-                "kind": m.disorder.kind,
-                "center": m.disorder.center,
-                "sigma": m.disorder.sigma,
-            },
-        }
-    elif s.model_kind == "vibronic":
-        model = {
-            "kind": "vibronic",
-            "n_emitters": m.n_emitters,
-            "g": m.g,
-            "omega_exc": m.omega_exc,
-            "omega_v": m.omega_v,
-            "huang_rhys": m.huang_rhys,
-            "gamma": m.gamma,
-        }
-        if m.m_max is not None:
-            model["m_max"] = m.m_max
-    elif s.model_kind == "multilevel":
-        model = {
-            "kind": "multilevel",
-            "levels": [[w, p] for w, p in m.levels],
-            "dipoles": [[y, z, a] for y, z, a in m.dipoles],
-            "n_emitters": m.n_emitters,
-            "g_scale": m.g_scale,
-            "gamma": m.gamma,
-        }
-    else:
-        model = {"kind": "tabulated_chi", "path": m.path}
-    method: object
-    if s.method.kind == "harmonic":
-        method = "harmonic"
-    else:
-        method = {"kind": "finite_n", "n_modes": s.method.n_modes}
-        if s.method.gamma_mode is not None:
-            method["gamma_mode"] = s.method.gamma_mode
-    cfg = {
-        "cavity": {
-            "omega_ph": s.cavity.omega_ph,
-            "kappa_L": s.cavity.kappa_L,
-            "kappa_R": s.cavity.kappa_R,
-        },
-        "model": model,
-        "grid": {
-            "omega_min": s.grid.omega_min,
-            "omega_max": s.grid.omega_max,
-            "n_points": s.grid.n_points,
-        },
-        "method": method,
-    }
-    if s.outputs:
-        cfg["outputs"] = [
-            {k: v for k, v in (("csv", o.csv), ("svg", o.svg)) if v is not None}
-            for o in s.outputs
-        ]
-    return cfg
-
-
-# ---------------------------------------------------------------------------
-# Model dispatch
+    return _dump_fields(_SCENARIO, s)
 
 
 def model_susceptibility(model, grid: FrequencyGrid) -> ComplexSpectrum:
     """Evaluate the model's susceptibility on a grid."""
-    if isinstance(model, TlsEnsemble):
-        return chi_tls_thermal(model, grid)
-    if isinstance(model, DisorderedTls):
-        return chi_disordered(model.base, model.disorder, grid)
-    if isinstance(model, VibronicModel):
-        return chi_vibronic(model, grid)
-    if isinstance(model, MultilevelModel):
-        return chi_three_level(model, grid)
-    if isinstance(model, TabulatedChi):
-        if model.path is None:
-            return ComplexSpectrum(grid, np.zeros(grid.n_points, dtype=complex))
-        chi = fileio.read_chi_csv(model.path)
-        if chi.grid == grid:
-            return chi
-        if grid.omega_min < chi.grid.omega_min or grid.omega_max > chi.grid.omega_max:
-            raise ValidationError(
-                "scenario grid extends beyond the tabulated susceptibility range"
-            )
-        re = np.interp(grid.points, chi.grid.points, chi.values.real)
-        im = np.interp(grid.points, chi.grid.points, chi.values.imag)
-        return ComplexSpectrum(grid, re + 1j * im)
-    raise ValidationError(f"unknown model object {type(model).__name__}")
+    return _MODELS[_model_kind(model)].chi(model, grid)
 
 
 def model_transitions(model):
     """Transition set of a model, or None for non-transition-based models."""
-    if isinstance(model, TlsEnsemble):
-        return tls_transitions(model)
-    if isinstance(model, VibronicModel):
-        return vibronic_transitions(model)
-    if isinstance(model, MultilevelModel):
-        return three_level_transitions(model)
-    return None
+    transitions = _MODELS[_model_kind(model)].transitions
+    return None if transitions is None else transitions(model)
 
 
 # ---------------------------------------------------------------------------
 # Runners
 
 
+def _positive_grid(grid: FrequencyGrid) -> FrequencyGrid | None:
+    """The grid's points above zero as a grid of their own; None if fewer than two."""
+    pos = grid.points[grid.points > 0]
+    if pos.size < 2:
+        return None
+    return make_grid(float(pos[0]), float(pos[-1]), pos.size)
+
+
 def _compute(s: Scenario) -> TraSpectra:
-    chi = model_susceptibility(s.model, s.grid)
     if s.method.kind == "harmonic":
-        return spectra_harmonic(chi, s.cavity)
-    pos = s.grid.points > 0
-    n_pos = int(pos.sum())
-    if n_pos < 2:
-        raise ValidationError(
-            "finite_n needs positive frequencies in the scenario grid"
-        )
-    pos_grid = make_grid(
-        float(s.grid.points[pos][0]), float(s.grid.points[pos][-1]), n_pos
-    )
+        return spectra_harmonic(model_susceptibility(s.model, s.grid), s.cavity)
+    pos_grid = _positive_grid(s.grid)
+    if pos_grid is None:
+        raise ValidationError("finite_n needs positive frequencies in the scenario grid")
     J = spectral_density_from_chi(model_susceptibility(s.model, pos_grid))
     bath = discretize_bath(J, s.method.n_modes, s.method.gamma_mode)
     return spectra_from_green(green_finite_n(bath, s.cavity, s.grid), s.cavity)
@@ -544,15 +471,11 @@ def run_scenario(
 ) -> TraSpectra:
     """Compute the scenario's spectra and write its configured outputs."""
     tra = _compute(s)
-    for out in s.outputs:
+    for out in (*s.outputs, OutputSpec(out_csv, out_svg)):
         if out.csv:
             fileio.write_tra_csv(out.csv, tra)
         if out.svg:
             fileio.write_tra_svg(out.svg, tra)
-    if out_csv:
-        fileio.write_tra_csv(out_csv, tra)
-    if out_svg:
-        fileio.write_tra_svg(out_svg, tra)
     return tra
 
 
@@ -592,38 +515,38 @@ def run_sweep(sw: Sweep, outdir: str = ".") -> list[TraSpectra]:
 
 
 def export_bundle(s: Scenario, outdir: str) -> list[str]:
-    """Write chi, coupling density, effective temperature and spectra CSVs."""
+    """Write chi, coupling density, effective temperature and spectra CSVs.
+
+    ``beta_eff.csv`` needs uphill transitions on a grid with positive
+    frequencies; without them it is omitted with a note on stderr.
+    """
     os.makedirs(outdir, exist_ok=True)
     written = []
-    chi = model_susceptibility(s.model, s.grid)
-    path = os.path.join(outdir, "chi.csv")
-    fileio.write_chi_csv(path, chi)
-    written.append(path)
 
-    path = os.path.join(outdir, "j_eff.csv")
-    fileio.write_jeff_csv(path, spectral_density_from_chi(chi))
-    written.append(path)
-
-    ts = model_transitions(s.model)
-    pos = s.grid.points > 0
-    if ts is not None and pos.sum() >= 2:
-        pos_grid = make_grid(
-            float(s.grid.points[pos][0]), float(s.grid.points[pos][-1]), int(pos.sum())
-        )
-        beta_eff = effective_temperature(ts, pos_grid)
-        path = os.path.join(outdir, "beta_eff.csv")
-        fileio.write_beta_eff_csv(path, beta_eff)
+    def write(name, writer, data):
+        path = os.path.join(outdir, name)
+        writer(path, data)
         written.append(path)
-    else:
-        print(
-            "note: beta_eff.csv omitted (model has no transition data)",
-            file=sys.stderr,
-        )
 
-    tra = _compute(s)
-    path = os.path.join(outdir, "spectra.csv")
-    fileio.write_tra_csv(path, tra)
-    written.append(path)
+    chi = model_susceptibility(s.model, s.grid)
+    write("chi.csv", fileio.write_chi_csv, chi)
+    write("j_eff.csv", fileio.write_jeff_csv, spectral_density_from_chi(chi))
+    ts = model_transitions(s.model)
+    pos_grid = _positive_grid(s.grid)
+    if ts is None:
+        omitted = "model has no transition data"
+    elif any(t.omega_zy < 0 for t in ts):
+        omitted = "model has transitions below omega = 0"
+    elif pos_grid is None:
+        omitted = "grid has fewer than two positive frequencies"
+    else:
+        omitted = None
+        beta_eff = effective_temperature(ts, pos_grid)
+        write("beta_eff.csv", fileio.write_beta_eff_csv, beta_eff)
+    if omitted:
+        print(f"note: beta_eff.csv omitted ({omitted})", file=sys.stderr)
+    tra = spectra_harmonic(chi, s.cavity) if s.method.kind == "harmonic" else _compute(s)
+    write("spectra.csv", fileio.write_tra_csv, tra)
     return written
 
 
@@ -771,15 +694,11 @@ def _load_config(args) -> dict:
         return preset_config(args.preset)
     if not args.config:
         raise ConfigError("one of --config or --preset is required")
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except OSError:
-        raise
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
+    with open(args.config) as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{args.config}: top level must be an object")
     return cfg
@@ -832,9 +751,7 @@ def main(argv=None) -> int:
         cfg = _apply_grid_overrides(_load_config(args), args)
         if args.command == "spectrum":
             if "base" in cfg:
-                raise ConfigError(
-                    "this configuration is a sweep; use `polarispec sweep`"
-                )
+                raise ConfigError("this configuration is a sweep; use `polarispec sweep`")
             scenario = parse_scenario(cfg)
             tra = run_scenario(scenario, args.out, args.svg)
             sinks = (
@@ -850,15 +767,8 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
             peaks = local_maxima(tra.transmission)
-            print(
-                f"transmission maxima: {len(peaks)}"
-                + (
-                    " at "
-                    + " ".join(f"{f:+.6g}" for f, _ in peaks[:8])
-                    if peaks
-                    else ""
-                )
-            )
+            at = " at " + " ".join(f"{f:+.6g}" for f, _ in peaks[:8]) if peaks else ""
+            print(f"transmission maxima: {len(peaks)}{at}")
         elif args.command == "sweep":
             if "base" not in cfg:
                 raise ConfigError(
@@ -873,9 +783,6 @@ def main(argv=None) -> int:
             scenario = parse_scenario(cfg)
             written = export_bundle(scenario, args.outdir)
             print("wrote: " + " ".join(written))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -206,9 +206,12 @@ def local_maxima(
 ) -> list[tuple[float, float]]:
     """Interior local maxima of a spectrum, filtered by prominence.
 
-    A point qualifies when it strictly exceeds both neighbours and its
-    height above the higher of the two adjacent local minima (walking
-    downhill on each side; grid ends count as minima) exceeds
+    A maximum is a run of one or more equal samples whose outer
+    neighbours are both strictly lower; a run of several samples (a flat
+    top) is one maximum, reported at its middle sample ``(first+last)//2``
+    as ``scipy.signal.find_peaks`` places it.  It is kept when its height
+    above the higher of the two adjacent local minima (walking strictly
+    downhill from the run's two ends; grid ends count as minima) exceeds
     ``min_prominence``.  The default prominence is 1e-3 of the spectrum
     maximum, which suppresses discretization ripple on smooth spectra.
 
@@ -220,17 +223,21 @@ def local_maxima(
         min_prominence = 1e-3 * v.max()
     peaks: list[tuple[float, float]] = []
     n = v.size
-    for i in range(1, n - 1):
-        if not (v[i] > v[i - 1] and v[i] > v[i + 1]):
+    # first samples of the runs entered by a strict rise and not left by one
+    starts = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
+    for first in starts:
+        last = first
+        while last < n - 1 and v[last + 1] == v[first]:
+            last += 1
+        if last == n - 1 or not v[last + 1] < v[first]:
             continue
-        j = i
+        j = first
         while j > 0 and v[j - 1] < v[j]:
             j -= 1
-        left_min = v[j]
-        k = i
+        k = last
         while k < n - 1 and v[k + 1] < v[k]:
             k += 1
-        right_min = v[k]
-        if v[i] - max(left_min, right_min) > min_prominence:
-            peaks.append((float(omega[i]), float(v[i])))
+        if v[first] - max(v[j], v[k]) > min_prominence:
+            mid = (first + last) // 2
+            peaks.append((float(omega[mid]), float(v[mid])))
     return peaks

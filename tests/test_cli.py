@@ -31,7 +31,25 @@ def _write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def _canonical_configs():
+    """Every preset (a sweep through its base) and a config with every optional field."""
+    params = []
+    for name in preset_names():
+        cfg = preset_config(name)
+        params.append(pytest.param(cfg.get("base", cfg), id=name))
+    cfg = preset_config("fig4")
+    cfg["model"]["m_max"] = 40
+    cfg["method"] = {"kind": "finite_n", "n_modes": 16, "gamma_mode": 0.05}
+    cfg["outputs"] = [{"csv": "spectra.csv"}, {"svg": "spectra.svg"}]
+    params.append(pytest.param(cfg, id="every-optional-field"))
+    return params
+
+
 class TestParsing:
+    @pytest.mark.parametrize("cfg", _canonical_configs())
+    def test_serialization_is_canonical(self, cfg):
+        assert scenario_to_config(parse_scenario(cfg)) == cfg
+
     def test_preset_roundtrip_through_serialization(self):
         for name in preset_names():
             cfg = preset_config(name)
@@ -225,6 +243,21 @@ class TestBundle:
         assert "beta_eff.csv" not in names
         assert "beta_eff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name", [n for n in preset_names() if "base" not in preset_config(n)]
+    )
+    def test_bundle_command_every_preset(self, tmp_path, name):
+        argv = ["bundle", "--preset", name, "--points", "401", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+
+    def test_vibronic_bundle_omits_effective_temperature(self, tmp_path, capsys):
+        # the rotating-frame progression has lines below omega = 0
+        s = parse_scenario(preset_config("fig4"))
+        written = export_bundle(s, str(tmp_path))
+        names = {os.path.basename(p) for p in written}
+        assert names == {"chi.csv", "j_eff.csv", "spectra.csv"}
+        assert "below omega = 0" in capsys.readouterr().err
+
     def test_bundle_chi_reingestion(self, tmp_path):
         s = parse_scenario(preset_config("fig3a"))
         export_bundle(s, str(tmp_path))
@@ -235,7 +268,47 @@ class TestBundle:
         assert np.abs(tra2.transmission.values - data[:, 1]).max() <= 1e-12
 
 
+class TestChiReadOnce:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        read = fileio.read_chi_csv
+
+        def counting_read(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(fileio, "read_chi_csv", counting_read)
+        return calls
+
+    def _tabulated_config(self, tmp_path, method):
+        cfg = preset_config("fig2a")
+        cfg["grid"]["n_points"] = 401
+        s = parse_scenario(cfg)
+        chi_path = str(tmp_path / "chi.csv")
+        fileio.write_chi_csv(chi_path, model_susceptibility(s.model, s.grid))
+        cfg["model"] = {"kind": "tabulated_chi", "path": chi_path}
+        cfg["method"] = method
+        return cfg
+
+    def test_harmonic_bundle(self, tmp_path, reads):
+        cfg = self._tabulated_config(tmp_path, "harmonic")
+        export_bundle(parse_scenario(cfg), str(tmp_path / "bundle"))
+        assert len(reads) == 1
+
+    def test_finite_n_spectrum(self, tmp_path, reads):
+        cfg = self._tabulated_config(tmp_path, {"kind": "finite_n", "n_modes": 16})
+        run_scenario(parse_scenario(cfg))
+        assert len(reads) == 1
+
+
 class TestMainEntry:
+    def test_even_grid_empty_cavity_prints_its_flat_top(self, capsys):
+        # the two centre samples hold the same T: the peak is one flat top
+        assert main(["spectrum", "--preset", "empty_cavity", "--points", "100000"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "transmission maxima: 1 at -4.00004e-05" in out
+
     def test_spectrum_writes_csv(self, tmp_path, capsys):
         out = str(tmp_path / "out.csv")
         svg = str(tmp_path / "out.svg")

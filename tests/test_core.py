@@ -113,6 +113,19 @@ class TestLocalMaxima:
         s = RealSpectrum(g, np.ones(101))
         assert local_maxima(s, 0.0) == []
 
+    @pytest.mark.parametrize(
+        "vals, index",
+        [
+            ([0, 1, 2, 2, 1, 0], 2),  # flat top: one peak at (first + last) // 2
+            ([0, 1, 2, 2, 2, 1, 0], 3),
+            ([0, 1, 2, 2, 3, 0], 4),  # a flat step on a rising flank is no peak
+        ],
+    )
+    def test_flat_top_is_one_peak(self, vals, index):
+        g = make_grid(0, len(vals) - 1, len(vals))
+        peaks = local_maxima(RealSpectrum(g, np.array(vals, dtype=float)), 0.0)
+        assert peaks == [(float(index), float(vals[index]))]
+
     def test_single_lorentzian(self):
         g = make_grid(-2, 2, 401)
         s = RealSpectrum(g, _lorentzian(g.points, 0.0, 0.2))
