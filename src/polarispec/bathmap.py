@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrequencyGrid, RealSpectrum, TimeGrid, ValidationError
-from .susceptibility import ComplexSpectrum, TransitionSet
+from .susceptibility import ComplexSpectrum, Transition, TransitionSet
 
 __all__ = [
     "CorrelationFunction",
@@ -136,6 +136,18 @@ class DiscretizedBath:
     @property
     def total_coupling_sq(self) -> float:
         return float(sum(m.coupling**2 for m in self.modes))
+
+    def transitions(self) -> TransitionSet:
+        """The bath as a transition set, one fully absorbing line per mode.
+
+        Mode k becomes Transition(omega_k, g_k**2, p_y=1, p_z=0, gamma_k),
+        so :func:`polarispec.susceptibility.chi_multilevel` of this set is
+        the bath's discrete susceptibility
+        -sum_k g_k**2 / (w - omega_k + i gamma_k/2).
+        """
+        return TransitionSet(
+            Transition(m.omega, m.coupling**2, 1.0, 0.0, m.gamma) for m in self.modes
+        )
 
 
 # ---------------------------------------------------------------------------

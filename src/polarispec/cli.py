@@ -15,7 +15,10 @@ Model kinds: ``tls``, ``disordered_tls`` (adds a ``disorder`` object),
 ``vibronic``, ``multilevel`` (exactly three levels), ``tabulated_chi``
 (``path`` to a chi CSV, or null for an empty cavity).  ``method`` is
 either the string ``"harmonic"`` or ``{"kind": "finite_n", "n_modes": M}``
-with an optional ``gamma_mode``.  ``beta`` may be the string ``"inf"``
+with an optional ``gamma_mode``; ``finite_n`` builds its surrogate bath
+from Im chi at omega > 0 and warns (``AccuracyWarning``) when more than
+5% of |Im chi| on the grid lies at omega <= 0, which the bath cannot
+hold.  ``beta`` may be the string ``"inf"``
 since JSON has no infinity literal.  Unknown keys anywhere are hard
 errors: a typo in a physics parameter must not silently fall back to a
 default.
@@ -39,6 +42,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -47,6 +51,7 @@ import numpy as np
 from . import fileio
 from .bathmap import discretize_bath, effective_temperature, spectral_density_from_chi
 from .core import (
+    AccuracyWarning,
     ComplexSpectrum,
     FrequencyGrid,
     NumericalError,
@@ -455,13 +460,32 @@ def _positive_grid(grid: FrequencyGrid) -> FrequencyGrid | None:
     return make_grid(float(pos[0]), float(pos[-1]), pos.size)
 
 
-def _compute(s: Scenario) -> TraSpectra:
+# Share of |Im chi| at omega <= 0 above which a finite_n run warns: the
+# surrogate bath lives on omega > 0, so that weight is missing from it.
+_DROPPED_WEIGHT_WARN = 0.05
+
+
+def _compute(s: Scenario, chi: ComplexSpectrum | None = None) -> TraSpectra:
+    """Spectra of the scenario; ``chi`` is the model's chi on ``s.grid`` if known."""
+    if chi is None:
+        chi = model_susceptibility(s.model, s.grid)
     if s.method.kind == "harmonic":
-        return spectra_harmonic(model_susceptibility(s.model, s.grid), s.cavity)
+        return spectra_harmonic(chi, s.cavity)
     pos_grid = _positive_grid(s.grid)
     if pos_grid is None:
         raise ValidationError("finite_n needs positive frequencies in the scenario grid")
-    J = spectral_density_from_chi(model_susceptibility(s.model, pos_grid))
+    pos = s.grid.points > 0
+    weight = np.abs(chi.values.imag)
+    total = weight.sum()
+    dropped = weight[~pos].sum() / total if total > 0 else 0.0
+    if dropped > _DROPPED_WEIGHT_WARN:
+        warnings.warn(
+            f"finite_n drops {dropped:.1%} of the absorption weight (|Im chi| at "
+            "omega <= 0): the surrogate bath is built from omega > 0 only",
+            AccuracyWarning,
+            stacklevel=3,
+        )
+    J = spectral_density_from_chi(ComplexSpectrum(pos_grid, chi.values[pos]))
     bath = discretize_bath(J, s.method.n_modes, s.method.gamma_mode)
     return spectra_from_green(green_finite_n(bath, s.cavity, s.grid), s.cavity)
 
@@ -545,8 +569,7 @@ def export_bundle(s: Scenario, outdir: str) -> list[str]:
         write("beta_eff.csv", fileio.write_beta_eff_csv, beta_eff)
     if omitted:
         print(f"note: beta_eff.csv omitted ({omitted})", file=sys.stderr)
-    tra = spectra_harmonic(chi, s.cavity) if s.method.kind == "harmonic" else _compute(s)
-    write("spectra.csv", fileio.write_tra_csv, tra)
+    write("spectra.csv", fileio.write_tra_csv, _compute(s, chi))
     return written
 
 

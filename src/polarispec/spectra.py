@@ -1,11 +1,19 @@
 """Cavity spectra from the photon retarded Green function.
 
-Two equivalent routes are provided.  The closed route takes a molecular
-susceptibility and dresses the photon propagator with the self-energy
--chi(w); the finite route builds the single-excitation arrowhead matrix
-of a discretized surrogate bath and extracts the photon element by a
-per-frequency linear solve.  For harmonic (or effectively harmonic)
-ensembles both agree, which the test suite uses as a cross-check.
+Two routes are provided, and both end in one propagator formula.  The
+closed route takes a molecular susceptibility and dresses the photon
+propagator with the self-energy -chi(w).  The finite route starts from a
+discretized surrogate bath: its single-excitation Hamiltonian is an
+arrowhead matrix (the photon couples to every mode, the modes not to
+each other), whose photon element is the Schur complement
+
+    D(w) = 1 / (w - omega_ph + i kappa/2
+                - sum_k g_k^2 / (w - omega_k + i gamma_k/2)),
+
+i.e. the closed propagator fed the bath's pole-sum susceptibility.  It
+costs O(N*M) for N frequencies and M modes and O(N) memory.  For
+harmonic (or effectively harmonic) ensembles the two routes converge as
+M grows, which the test suite uses as a cross-check.
 
 Port formulas (input drive on the left, detection on both sides):
 
@@ -34,6 +42,7 @@ from .core import (
     TraSpectra,
     ValidationError,
 )
+from .susceptibility import chi_multilevel
 
 __all__ = [
     "CavityParams",
@@ -155,44 +164,18 @@ def green_finite_n(
 ) -> GreenFunction:
     """Photon propagator of a finite surrogate bath.
 
-    Builds the (1+M) x (1+M) single-excitation matrix with the photon on
-    the first row/column (arrowhead form: photon couples to every mode,
-    modes do not couple to each other) and solves (w*I - H) x = e_photon
-    per frequency, keeping only the photon component.  Only a linear
-    solve is performed; the full inverse is never formed.
+    The photon element of (w - H)^-1 for the (1+M) x (1+M) arrowhead
+    single-excitation matrix H is the Schur complement of the mode block,
+
+        D(w) = 1 / (w - omega_ph + i kappa/2
+                    - sum_k g_k^2 / (w - omega_k + i gamma_k/2)),
+
+    which is :func:`photon_green_function` fed the bath's discrete
+    susceptibility (O'Leary & Stewart 1990 on arrowhead matrices).  Cost
+    O(N*M) for N frequencies and M modes, memory O(N); no matrix is
+    formed.
     """
-    omega = grid.points
-    n_modes = len(bath)
-    mode_omega = np.array([m.omega for m in bath.modes])
-    mode_gamma = np.array([m.gamma for m in bath.modes])
-    couplings = np.array([m.coupling for m in bath.modes])
-
-    diag = np.concatenate(
-        (
-            [cav.omega_ph - 0.5j * cav.kappa],
-            mode_omega - 0.5j * mode_gamma,
-        )
-    )
-    size = n_modes + 1
-    h = np.zeros((size, size), dtype=complex)
-    h[np.arange(size), np.arange(size)] = diag
-    h[0, 1:] = -couplings
-    h[1:, 0] = -couplings
-
-    rhs = np.zeros((size, 1), dtype=complex)
-    rhs[0, 0] = 1.0
-    vals = np.empty(grid.n_points, dtype=complex)
-    chunk = max(1, 4_000_000 // (size * size))
-    eye = np.eye(size, dtype=complex)
-    for lo in range(0, grid.n_points, chunk):
-        hi = min(lo + chunk, grid.n_points)
-        mats = omega[lo:hi, None, None] * eye[None, :, :] - h[None, :, :]
-        try:
-            sol = np.linalg.solve(mats, np.broadcast_to(rhs, (hi - lo, size, 1)))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"singular single-excitation solve: {exc}")
-        vals[lo:hi] = sol[:, 0, 0]
-    return GreenFunction(ComplexSpectrum(grid, vals))
+    return photon_green_function(chi_multilevel(bath.transitions(), grid), cav)
 
 
 def landauer_transmission(D: GreenFunction, cav: CavityParams) -> RealSpectrum:

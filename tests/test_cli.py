@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from polarispec.cli import (
     run_sweep,
     scenario_to_config,
 )
-from polarispec.core import local_maxima, make_grid
+from polarispec.core import AccuracyWarning, ValidationError, local_maxima, make_grid
 from polarispec import fileio
 
 
@@ -182,6 +183,37 @@ class TestRunScenario:
         ).max() < 5e-3
 
 
+class TestFiniteNDroppedWeight:
+    """The surrogate bath holds Im chi at omega > 0 only; a run says what it drops."""
+
+    def test_rotating_frame_line_warns_with_dropped_share(self):
+        cfg = preset_config("fig2a")
+        cfg["method"] = {"kind": "finite_n", "n_modes": 16}
+        with pytest.warns(AccuracyWarning, match=r"50\.2%"):
+            run_scenario(parse_scenario(cfg))
+
+    def test_lab_frame_line_does_not_warn(self):
+        cfg = {
+            "cavity": {"omega_ph": 2.0, "kappa_L": 0.05, "kappa_R": 0.05},
+            "model": {"kind": "tls", "n_emitters": 1.0, "g": 1.0, "omega_exc": 2.0,
+                      "beta": "inf", "gamma": 0.3},
+            "grid": {"omega_min": -4.0, "omega_max": 8.0, "n_points": 4001},
+            "method": {"kind": "finite_n", "n_modes": 64},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_scenario(parse_scenario(cfg))
+
+    @pytest.mark.parametrize("name", ["empty_cavity", "fig5c"])
+    def test_zero_absorption_does_not_warn(self, name):
+        cfg = preset_config(name)
+        cfg["method"] = {"kind": "finite_n", "n_modes": 16}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="identically zero"):
+                run_scenario(parse_scenario(cfg))
+
+
 class TestSweep:
     def test_single_value_sweep_matches_scenario(self, tmp_path):
         cfg = preset_config("fig2b")
@@ -299,6 +331,12 @@ class TestChiReadOnce:
     def test_finite_n_spectrum(self, tmp_path, reads):
         cfg = self._tabulated_config(tmp_path, {"kind": "finite_n", "n_modes": 16})
         run_scenario(parse_scenario(cfg))
+        assert len(reads) == 1
+
+    def test_finite_n_bundle(self, tmp_path, reads):
+        cfg = self._tabulated_config(tmp_path, {"kind": "finite_n", "n_modes": 16})
+        with pytest.warns(AccuracyWarning):  # the line sits at omega = 0
+            export_bundle(parse_scenario(cfg), str(tmp_path / "bundle"))
         assert len(reads) == 1
 
 

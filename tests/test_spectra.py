@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarispec.core import (
     ComplexSpectrum,
@@ -22,9 +23,11 @@ from polarispec.spectra import (
     spectra_harmonic,
 )
 from polarispec.susceptibility import (
+    DisorderSpec,
     TlsEnsemble,
     Transition,
     TransitionSet,
+    chi_disordered,
     chi_multilevel,
     chi_tls_thermal,
 )
@@ -32,6 +35,43 @@ from polarispec.susceptibility import (
 
 def _zero_chi(grid):
     return ComplexSpectrum(grid, np.zeros(grid.n_points, complex))
+
+
+def _dense_arrowhead_green(bath, cav, grid):
+    """Reference: photon element of (w - H)^-1 by a dense solve per frequency.
+
+    H is the (1+M) x (1+M) single-excitation matrix with the photon on the
+    first row and column (arrowhead form); (w*I - H) x = e_photon is solved
+    at every frequency and only the photon component kept.
+    """
+    omega = grid.points
+    size = len(bath) + 1
+    couplings = np.array([m.coupling for m in bath.modes])
+    h = np.diag(
+        np.concatenate(
+            (
+                [cav.omega_ph - 0.5j * cav.kappa],
+                [m.omega - 0.5j * m.gamma for m in bath.modes],
+            )
+        )
+    )
+    h[0, 1:] = -couplings
+    h[1:, 0] = -couplings
+    mats = omega[:, None, None] * np.eye(size)[None, :, :] - h[None, :, :]
+    rhs = np.zeros((omega.size, size, 1), dtype=complex)
+    rhs[:, 0, 0] = 1.0
+    return np.linalg.solve(mats, rhs)[:, 0, 0]
+
+
+def _random_bath(rng, n_modes):
+    return DiscretizedBath(
+        BathMode(float(w), float(g), float(y))
+        for w, g, y in zip(
+            rng.uniform(0.1, 4.0, n_modes),
+            rng.uniform(0.0, 1.5, n_modes) / math.sqrt(n_modes),
+            rng.uniform(0.02, 0.5, n_modes),
+        )
+    )
 
 
 class TestCavityParams:
@@ -228,6 +268,62 @@ class TestFiniteBathGreenFunction:
             devs.append(np.abs(tra.transmission.values - t_ref).max())
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-3
+
+    @pytest.mark.parametrize("n_modes", [1, 8, 64])
+    def test_matches_dense_arrowhead_solve(self, n_modes):
+        g = make_grid(-2.0, 6.0, 2001)
+        cav = CavityParams(2.0, 0.05, 0.03)
+        bath = _random_bath(np.random.default_rng(n_modes), n_modes)
+        D = green_finite_n(bath, cav, g)
+        assert np.abs(D.values - _dense_arrowhead_green(bath, cav, g)).max() <= 1e-12
+
+    def test_large_bath_converges_to_thermodynamic_limit(self):
+        # Gaussian-disordered lab-frame line: the finite route approaches
+        # the harmonic one as the bath grows to thousands of modes
+        m = TlsEnsemble(1.0, 1.0, 4.0, math.inf, 1e-3)
+        d = DisorderSpec("gaussian", 4.0, 0.4)
+        cav = CavityParams(4.0, 0.05, 0.05)
+        J = spectral_density_from_chi(chi_disordered(m, d, make_grid(1e-3, 8.0, 64001)))
+        g = make_grid(2.0, 6.0, 2001)
+        t_ref = spectra_harmonic(chi_disordered(m, d, g), cav).transmission.values
+        devs = []
+        for n_modes in (16, 64, 256, 1024, 4096):
+            D = green_finite_n(discretize_bath(J, n_modes), cav, g)
+            devs.append(np.abs(spectra_from_green(D, cav).transmission.values - t_ref).max())
+        assert all(a > b for a, b in zip(devs, devs[1:])), devs
+        assert devs[-1] < 0.025
+
+
+_PROPERTY_GRID = make_grid(-4.0, 12.0, 801)
+
+
+class TestFiniteBathIdentities:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        modes=st.lists(
+            st.tuples(
+                st.floats(1e-3, 10.0),  # omega_k > 0
+                st.floats(0.0, 3.0),  # g_k >= 0
+                st.floats(1e-3, 2.0),  # gamma_k > 0
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        cavity=st.tuples(
+            st.floats(-2.0, 10.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+        ).filter(lambda c: c[1] + c[2] >= 1e-3),
+    )
+    def test_energy_balance_passivity_and_landauer(self, modes, cavity):
+        bath = DiscretizedBath(BathMode(*mode) for mode in modes)
+        cav = CavityParams(*cavity)
+        D = green_finite_n(bath, cav, _PROPERTY_GRID)
+        tra = spectra_from_green(D, cav)
+        t = tra.transmission.values
+        a = tra.absorption.values
+        assert np.abs(t + tra.reflection.values + a - 1.0).max() <= 1e-12
+        assert a.min() >= -1e-12
+        assert t.min() >= 0.0 and t.max() <= 1.0 + 1e-12
+        assert np.abs(landauer_transmission(D, cav).values - t).max() <= 1e-12
 
 
 class TestLandauer:
