@@ -27,7 +27,9 @@ from .core import (
     make_grid,
 )
 from .susceptibility import (
+    DisorderedTls,
     DisorderSpec,
+    LineModel,
     MultilevelModel,
     TlsEnsemble,
     Transition,
@@ -69,6 +71,7 @@ from .spectra import (
     spectra_from_green,
     spectra_harmonic,
 )
+from .fileio import TabulatedChi
 
 __version__ = "0.1.0"
 
@@ -80,13 +83,16 @@ __all__ = [
     "CorrelationFunction",
     "DiscretizedBath",
     "DisorderSpec",
+    "DisorderedTls",
     "EffectiveTemperature",
     "FrequencyGrid",
     "GainWarning",
     "GreenFunction",
+    "LineModel",
     "MultilevelModel",
     "NumericalError",
     "RealSpectrum",
+    "TabulatedChi",
     "TimeGrid",
     "TlsEnsemble",
     "TraSpectra",

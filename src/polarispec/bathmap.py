@@ -24,8 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyGrid, RealSpectrum, TimeGrid, ValidationError
-from .susceptibility import ComplexSpectrum, Transition, TransitionSet
+from .core import (
+    FrequencyGrid,
+    RealSpectrum,
+    TimeGrid,
+    ValidationError,
+    _kernel_sum,
+    _trapezoid_weights,
+)
+from .susceptibility import ComplexSpectrum, LineModel, Transition, TransitionSet
 
 __all__ = [
     "CorrelationFunction",
@@ -117,7 +124,7 @@ class BathMode:
 
 
 @dataclass(frozen=True)
-class DiscretizedBath:
+class DiscretizedBath(LineModel):
     """Finite surrogate bath; couplings are stored real and nonnegative."""
 
     modes: tuple[BathMode, ...]
@@ -143,7 +150,8 @@ class DiscretizedBath:
         Mode k becomes Transition(omega_k, g_k**2, p_y=1, p_z=0, gamma_k),
         so :func:`polarispec.susceptibility.chi_multilevel` of this set is
         the bath's discrete susceptibility
-        -sum_k g_k**2 / (w - omega_k + i gamma_k/2).
+        -sum_k g_k**2 / (w - omega_k + i gamma_k/2), which is what
+        :meth:`chi` returns.
         """
         return TransitionSet(
             Transition(m.omega, m.coupling**2, 1.0, 0.0, m.gamma) for m in self.modes
@@ -187,21 +195,15 @@ def spectral_density_from_correlation(
     population inversion and raises instead.
     """
     t = c2.grid.times
-    w = np.full(t.size, c2.grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    weighted = -2.0 * w * c2.values.imag
+    weighted = -2.0 * _trapezoid_weights(t.size, c2.grid.spacing) * c2.values.imag
+
+    def sines(w, t):
+        return np.sin(np.outer(w, t))
 
     omega = grid.points
     vals = np.zeros(grid.n_points)
     pos = omega >= 0
-    omega_pos = omega[pos]
-    out = np.empty(omega_pos.size)
-    chunk = max(1, 2_000_000 // t.size)
-    for lo in range(0, omega_pos.size, chunk):
-        hi = min(lo + chunk, omega_pos.size)
-        out[lo:hi] = np.sin(np.outer(omega_pos[lo:hi], t)) @ weighted
-    vals[pos] = out
+    vals[pos] = _kernel_sum(sines, omega[pos], t, weighted)
     return RealSpectrum(grid, _clip_density(vals))
 
 
@@ -291,9 +293,7 @@ def reconstruct_correlation(
             "J > 0 where beta_eff = 0: a saturated line cannot carry weight"
         )
 
-    w = np.full(omega.size, J.grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = _trapezoid_weights(omega.size, J.grid.spacing)
     cos_part = np.where(jv == 0, 0.0, w * jv * occ) / math.pi
     sin_part = (w * jv) / math.pi
 

@@ -24,9 +24,10 @@ errors: a typo in a physics parameter must not silently fall back to a
 default.
 
 Each config object's keys are defined once, in the field table below:
-a key is also the attribute name of the object it parses into, its codec
-both parses and serializes it, and a model kind also names its chi and
-transitions functions.
+a key is also the attribute name of the object it parses into, and its
+codec both parses and serializes it.  A model kind names only the class
+it builds; the model object computes its own ``chi(grid)`` and
+``transitions()``, so this module holds no model physics.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error,
 4 file I/O error.
@@ -60,6 +61,7 @@ from .core import (
     local_maxima,
     make_grid,
 )
+from .fileio import TabulatedChi
 from .spectra import (
     CavityParams,
     green_finite_n,
@@ -67,17 +69,11 @@ from .spectra import (
     spectra_harmonic,
 )
 from .susceptibility import (
+    DisorderedTls,
     DisorderSpec,
     MultilevelModel,
     TlsEnsemble,
     VibronicModel,
-    chi_disordered,
-    chi_three_level,
-    chi_tls_thermal,
-    chi_vibronic,
-    three_level_transitions,
-    tls_transitions,
-    vibronic_transitions,
 )
 
 __all__ = [
@@ -94,7 +90,6 @@ __all__ = [
     "preset_config",
     "preset_names",
     "model_susceptibility",
-    "model_transitions",
     "run_scenario",
     "run_sweep",
     "export_bundle",
@@ -108,32 +103,7 @@ class ConfigError(ValidationError):
 
 
 # ---------------------------------------------------------------------------
-# Model wrappers for the two kinds that are not bare susceptibility models
-
-
-@dataclass(frozen=True)
-class DisorderedTls:
-    """Zero-temperature two-level ensemble with disordered excitation energies."""
-
-    n_emitters: float
-    g: float
-    omega_exc: float
-    gamma: float
-    disorder: DisorderSpec
-
-    def __post_init__(self):
-        _ = self.base  # building the ensemble validates its parameters
-
-    @property
-    def base(self) -> TlsEnsemble:
-        return TlsEnsemble(self.n_emitters, self.g, self.omega_exc, math.inf, self.gamma)
-
-
-@dataclass(frozen=True)
-class TabulatedChi:
-    """Susceptibility read from a CSV file; ``path=None`` means chi = 0."""
-
-    path: str | None
+# Scenario objects
 
 
 @dataclass(frozen=True)
@@ -161,9 +131,9 @@ class Scenario:
 @dataclass(frozen=True)
 class Sweep:
     base: Scenario
-    base_config: dict
     parameter: str
     values: tuple
+    scenarios: tuple[Scenario, ...]  # one per value, without the base's outputs
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +199,6 @@ _RAW = _Codec(lambda v, path: v, _same, False)  # checked where it is used
 class _Model(NamedTuple):
     build: type
     fields: dict  # config key (= attribute of the model) -> codec; "kind" is the table key
-    chi: Callable  # (model, grid) -> ComplexSpectrum
-    transitions: Callable | None  # model -> TransitionSet; None without transition data
 
 
 def _parse_fields(fields: dict, d, path: str, prefix: str) -> dict:
@@ -268,21 +236,6 @@ def _section(build: Callable, fields: dict) -> _Codec:
     return _Codec(parse, lambda obj: _dump_fields(fields, obj), False)
 
 
-def _tabulated_chi(model: TabulatedChi, grid: FrequencyGrid) -> ComplexSpectrum:
-    if model.path is None:
-        return ComplexSpectrum(grid, np.zeros(grid.n_points, dtype=complex))
-    chi = fileio.read_chi_csv(model.path)
-    if chi.grid == grid:
-        return chi
-    if grid.omega_min < chi.grid.omega_min or grid.omega_max > chi.grid.omega_max:
-        raise ValidationError(
-            "scenario grid extends beyond the tabulated susceptibility range"
-        )
-    re = np.interp(grid.points, chi.grid.points, chi.values.real)
-    im = np.interp(grid.points, chi.grid.points, chi.values.imag)
-    return ComplexSpectrum(grid, re + 1j * im)
-
-
 _CAVITY = _section(
     CavityParams, {"omega_ph": _NUMBER, "kappa_L": _NUMBER, "kappa_R": _NUMBER}
 )
@@ -300,32 +253,24 @@ _MODELS = {
         TlsEnsemble,
         {"n_emitters": _NUMBER, "g": _NUMBER, "omega_exc": _NUMBER, "beta": _BETA,
          "gamma": _NUMBER},
-        chi_tls_thermal,
-        tls_transitions,
     ),
     "disordered_tls": _Model(
         DisorderedTls,
         {"n_emitters": _NUMBER, "g": _NUMBER, "omega_exc": _NUMBER, "gamma": _NUMBER,
          "disorder": _DISORDER},
-        lambda m, grid: chi_disordered(m.base, m.disorder, grid),
-        None,
     ),
     "vibronic": _Model(
         VibronicModel,
         {"n_emitters": _NUMBER, "g": _NUMBER, "omega_exc": _NUMBER, "omega_v": _NUMBER,
          "huang_rhys": _NUMBER, "gamma": _NUMBER, "m_max": _optional(_INTEGER)},
-        chi_vibronic,
-        vibronic_transitions,
     ),
     "multilevel": _Model(
         MultilevelModel,
         {"levels": _rows(2, "[omega, population] pairs"),
          "dipoles": _rows(3, "[low, high, amplitude] triples"),
          "n_emitters": _NUMBER, "g_scale": _NUMBER, "gamma": _NUMBER},
-        chi_three_level,
-        three_level_transitions,
     ),
-    "tabulated_chi": _Model(TabulatedChi, {"path": _PATH}, _tabulated_chi, None),
+    "tabulated_chi": _Model(TabulatedChi, {"path": _PATH}),
 }
 _MODEL_KIND = {entry.build: kind for kind, entry in _MODELS.items()}
 
@@ -401,9 +346,15 @@ def parse_sweep(cfg: dict) -> Sweep:
         raise ConfigError("sweep.parameter: expected a dotted path string")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values: expected a nonempty list")
-    for v in values:
-        _apply_parameter(copy.deepcopy(base_cfg), parameter, v)  # resolvable?
-    return Sweep(base, copy.deepcopy(base_cfg), parameter, tuple(values))
+    scenarios = []
+    for i, v in enumerate(values):
+        cfg = _apply_parameter(copy.deepcopy(base_cfg), parameter, v)
+        cfg.pop("outputs", None)
+        try:
+            scenarios.append(parse_scenario(cfg))
+        except ValidationError as exc:
+            raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
+    return Sweep(base, parameter, tuple(values), tuple(scenarios))
 
 
 def _apply_parameter(cfg: dict, parameter: str, value) -> dict:
@@ -438,14 +389,9 @@ def scenario_to_config(s: Scenario) -> dict:
 
 
 def model_susceptibility(model, grid: FrequencyGrid) -> ComplexSpectrum:
-    """Evaluate the model's susceptibility on a grid."""
-    return _MODELS[_model_kind(model)].chi(model, grid)
-
-
-def model_transitions(model):
-    """Transition set of a model, or None for non-transition-based models."""
-    transitions = _MODELS[_model_kind(model)].transitions
-    return None if transitions is None else transitions(model)
+    """``model.chi(grid)`` of a model object of the field table."""
+    _model_kind(model)  # an object that is no model is a ValidationError
+    return model.chi(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +414,7 @@ _DROPPED_WEIGHT_WARN = 0.05
 def _compute(s: Scenario, chi: ComplexSpectrum | None = None) -> TraSpectra:
     """Spectra of the scenario; ``chi`` is the model's chi on ``s.grid`` if known."""
     if chi is None:
-        chi = model_susceptibility(s.model, s.grid)
+        chi = s.model.chi(s.grid)
     if s.method.kind == "harmonic":
         return spectra_harmonic(chi, s.cavity)
     pos_grid = _positive_grid(s.grid)
@@ -512,7 +458,7 @@ def peak_splitting(tra: TraSpectra) -> float:
 
 
 def run_sweep(sw: Sweep, outdir: str = ".") -> list[TraSpectra]:
-    """Run the base scenario once per value; write per-value and summary CSVs.
+    """Run the sweep's scenario of each value; write per-value and summary CSVs.
 
     Values are independent of each other and could run in parallel; the
     summary rows are emitted in input order either way.
@@ -520,10 +466,7 @@ def run_sweep(sw: Sweep, outdir: str = ".") -> list[TraSpectra]:
     os.makedirs(outdir, exist_ok=True)
     results = []
     rows = []
-    for i, value in enumerate(sw.values):
-        cfg = _apply_parameter(copy.deepcopy(sw.base_config), sw.parameter, value)
-        cfg.pop("outputs", None)
-        scenario = parse_scenario(cfg)
+    for i, (value, scenario) in enumerate(zip(sw.values, sw.scenarios)):
         tra = _compute(scenario)
         results.append(tra)
         fileio.write_tra_csv(os.path.join(outdir, f"sweep_{i:03d}.csv"), tra)
@@ -552,10 +495,10 @@ def export_bundle(s: Scenario, outdir: str) -> list[str]:
         writer(path, data)
         written.append(path)
 
-    chi = model_susceptibility(s.model, s.grid)
+    chi = s.model.chi(s.grid)
     write("chi.csv", fileio.write_chi_csv, chi)
     write("j_eff.csv", fileio.write_jeff_csv, spectral_density_from_chi(chi))
-    ts = model_transitions(s.model)
+    ts = s.model.transitions()
     pos_grid = _positive_grid(s.grid)
     if ts is None:
         omitted = "model has no transition data"

@@ -1,4 +1,4 @@
-"""Shared domain types: uniform grids, spectra containers, peak finding.
+"""Shared domain types, peak finding and the transforms' quadrature.
 
 All quantities use hbar = 1 and a single arbitrary frequency unit, so
 frequencies, rates, couplings and inverse temperatures are mutually
@@ -191,6 +191,25 @@ class TraSpectra:
     @property
     def grid(self) -> FrequencyGrid:
         return self.transmission.grid
+
+
+def _trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:
+    """Trapezoid-rule weights of a uniform grid: the spacing, halved at both ends."""
+    w = np.full(n_points, spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def _kernel_sum(kernel, rows, cols, weights) -> np.ndarray:
+    """out_i = sum_j kernel(rows, cols)[i, j] * weights_j, in blocks of ~2e6 entries.
+
+    ``kernel(row_block, cols)`` returns the dense block; only one block is
+    alive at a time, so memory stays bounded for any number of rows.
+    """
+    step = max(1, 2_000_000 // cols.size)
+    blocks = [kernel(rows[i : i + step], cols) @ weights for i in range(0, rows.size, step)]
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=weights.dtype)
 
 
 def make_grid(omega_min: float, omega_max: float, n_points: int) -> FrequencyGrid:

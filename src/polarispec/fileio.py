@@ -1,5 +1,9 @@
 """CSV and SVG emission, plus tabulated susceptibility import.
 
+:class:`TabulatedChi` is the model whose chi is read from a chi CSV and
+interpolated onto the requested grid (here, not in ``susceptibility``,
+which cannot import this module).
+
 All CSV output uses 17 significant digits (``%.16e``), which round-trips
 float64 exactly, and is written atomically (temp file in the target
 directory, then rename) so partially written files never appear under
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +23,7 @@ from .core import ComplexSpectrum, FrequencyGrid, RealSpectrum, TraSpectra, Vali
 from .bathmap import CorrelationFunction, EffectiveTemperature
 
 __all__ = [
+    "TabulatedChi",
     "write_columns",
     "write_tra_csv",
     "write_chi_csv",
@@ -102,6 +108,32 @@ def read_chi_csv(path: str) -> ComplexSpectrum:
         raise ValidationError(f"{path}: frequency column must be uniform ascending")
     grid = FrequencyGrid(float(omega[0]), float(omega[-1]), omega.size)
     return ComplexSpectrum(grid, data[:, 1] + 1j * data[:, 2])
+
+
+@dataclass(frozen=True)
+class TabulatedChi:
+    """Susceptibility read from a CSV file; ``path=None`` means chi = 0."""
+
+    path: str | None
+
+    def transitions(self) -> None:
+        """None: a tabulated chi carries no line list."""
+        return None
+
+    def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
+        """The table on ``grid``: verbatim on its own grid, else interpolated."""
+        if self.path is None:
+            return ComplexSpectrum(grid, np.zeros(grid.n_points, dtype=complex))
+        chi = read_chi_csv(self.path)
+        if chi.grid == grid:
+            return chi
+        if grid.omega_min < chi.grid.omega_min or grid.omega_max > chi.grid.omega_max:
+            raise ValidationError(
+                "scenario grid extends beyond the tabulated susceptibility range"
+            )
+        re = np.interp(grid.points, chi.grid.points, chi.values.real)
+        im = np.interp(grid.points, chi.grid.points, chi.values.imag)
+        return ComplexSpectrum(grid, re + 1j * im)
 
 
 def write_jeff_csv(path: str, J: RealSpectrum) -> None:

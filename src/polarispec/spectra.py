@@ -10,10 +10,10 @@ each other), whose photon element is the Schur complement
     D(w) = 1 / (w - omega_ph + i kappa/2
                 - sum_k g_k^2 / (w - omega_k + i gamma_k/2)),
 
-i.e. the closed propagator fed the bath's pole-sum susceptibility.  It
-costs O(N*M) for N frequencies and M modes and O(N) memory.  For
-harmonic (or effectively harmonic) ensembles the two routes converge as
-M grows, which the test suite uses as a cross-check.
+i.e. the closed propagator fed the bath's pole-sum susceptibility
+``bath.chi(grid)``.  It costs O(N*M) for N frequencies and M modes and
+O(N) memory.  For harmonic (or effectively harmonic) ensembles the two
+routes converge as M grows, which the test suite uses as a cross-check.
 
 Port formulas (input drive on the left, detection on both sides):
 
@@ -26,7 +26,6 @@ These satisfy T + R + A = 1 identically.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +41,6 @@ from .core import (
     TraSpectra,
     ValidationError,
 )
-from .susceptibility import chi_multilevel
 
 __all__ = [
     "CavityParams",
@@ -171,11 +169,11 @@ def green_finite_n(
                     - sum_k g_k^2 / (w - omega_k + i gamma_k/2)),
 
     which is :func:`photon_green_function` fed the bath's discrete
-    susceptibility (O'Leary & Stewart 1990 on arrowhead matrices).  Cost
-    O(N*M) for N frequencies and M modes, memory O(N); no matrix is
-    formed.
+    susceptibility ``bath.chi(grid)``, the pole sum over its modes
+    (O'Leary & Stewart 1990 on arrowhead matrices).  Cost O(N*M) for N
+    frequencies and M modes, memory O(N); no matrix is formed.
     """
-    return photon_green_function(chi_multilevel(bath.transitions(), grid), cav)
+    return photon_green_function(bath.chi(grid), cav)
 
 
 def landauer_transmission(D: GreenFunction, cav: CavityParams) -> RealSpectrum:

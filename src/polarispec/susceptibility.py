@@ -13,19 +13,23 @@ real axis.  Populations need not be thermal; any stationary occupation
 set is accepted, which is what makes saturated and optically pumped
 ensembles expressible.
 
-Builders for concrete models (thermal two-level ensembles, disordered
-ensembles, displaced-oscillator vibronic ensembles, three-level systems)
-produce only uphill (positive-frequency) transitions, i.e. they work in
-the rotating-wave approximation.  The generic entry point accepts signed
-transition frequencies so the full two-sided symmetry
-``chi(-w) = conj(chi(w))`` remains expressible.
+Every model object has ``chi(grid)`` and ``transitions()`` (None when
+it has no finite line list).  A :class:`LineModel` gets chi as the pole
+sum :func:`chi_multilevel` of its transitions; :class:`TlsEnsemble`
+keeps the closed form :func:`chi_tls_thermal` (tanh(beta*w/2) rounds
+differently from p_g - p_e) and :class:`DisorderedTls` the disorder
+average :func:`chi_disordered`.  The methods look these functions up
+when called.  The concrete models produce only uphill transitions
+(w_t > 0), i.e. they work in the rotating-wave approximation;
+:func:`chi_multilevel` accepts signed frequencies, so the two-sided
+symmetry ``chi(-w) = conj(chi(w))`` remains expressible.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +39,17 @@ from .core import (
     FrequencyGrid,
     RealSpectrum,
     ValidationError,
+    _kernel_sum,
+    _trapezoid_weights,
 )
 
 __all__ = [
     "Transition",
     "TransitionSet",
+    "LineModel",
     "TlsEnsemble",
     "DisorderSpec",
+    "DisorderedTls",
     "VibronicModel",
     "MultilevelModel",
     "thermal_factor",
@@ -109,8 +117,20 @@ class TransitionSet:
         return iter(self.transitions)
 
 
+class LineModel:
+    """A model whose susceptibility is the pole sum over its transitions.
+
+    Subclasses define ``transitions()``; ``chi(grid)`` is
+    ``chi_multilevel(self.transitions(), grid)``.
+    """
+
+    def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
+        """Susceptibility on ``grid``: the pole sum of :meth:`transitions`."""
+        return chi_multilevel(self.transitions(), grid)
+
+
 @dataclass(frozen=True)
-class TlsEnsemble:
+class TlsEnsemble(LineModel):
     """Identical two-level emitters at inverse temperature ``beta``.
 
     ``n_emitters`` is a pure scale factor (any positive real), ``g`` the
@@ -141,6 +161,16 @@ class TlsEnsemble:
     def collective_coupling_sq(self) -> float:
         return self.n_emitters * self.g**2
 
+    def transitions(self) -> TransitionSet:
+        """Single uphill transition of a thermal two-level ensemble."""
+        p_g, p_e = thermal_populations(self.beta, self.omega_exc)
+        ngg = self.collective_coupling_sq
+        return TransitionSet([Transition(self.omega_exc, ngg, p_g, p_e, self.gamma)])
+
+    def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
+        """The closed form :func:`chi_tls_thermal`, not the pole sum."""
+        return chi_tls_thermal(self, grid)
+
 
 @dataclass(frozen=True)
 class DisorderSpec:
@@ -162,7 +192,32 @@ class DisorderSpec:
 
 
 @dataclass(frozen=True)
-class VibronicModel:
+class DisorderedTls:
+    """Zero-temperature two-level ensemble with disordered excitation energies."""
+
+    n_emitters: float
+    g: float
+    omega_exc: float
+    gamma: float
+    disorder: DisorderSpec
+
+    def __post_init__(self):
+        _ = self.base  # building the ensemble validates its parameters
+
+    @property
+    def base(self) -> TlsEnsemble:
+        return TlsEnsemble(self.n_emitters, self.g, self.omega_exc, math.inf, self.gamma)
+
+    def transitions(self) -> None:
+        """None: a continuous distribution of lines has no finite line list."""
+        return None
+
+    def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
+        return chi_disordered(self.base, self.disorder, grid)
+
+
+@dataclass(frozen=True)
+class VibronicModel(LineModel):
     """Two-level emitters with one displaced vibrational mode each.
 
     The electronic excitation dresses into a vibronic progression with
@@ -195,14 +250,27 @@ class VibronicModel:
         if self.m_max is not None and self.m_max < 0:
             raise ValidationError("m_max must be >= 0")
 
+    def transitions(self) -> TransitionSet:
+        """Franck-Condon progression as a transition set (zero temperature)."""
+        weights = _franck_condon_weights(self.huang_rhys, self.m_max)
+        base = self.omega_exc - self.huang_rhys * self.omega_v
+        ngg = self.n_emitters * self.g**2
+        return TransitionSet(
+            [
+                Transition(base + k * self.omega_v, ngg * w, 1.0, 0.0, self.gamma)
+                for k, w in enumerate(weights)
+            ]
+        )
+
 
 @dataclass(frozen=True)
-class MultilevelModel:
+class MultilevelModel(LineModel):
     """Identical multi-level emitters with explicit stationary populations.
 
     ``levels`` lists (energy, population) pairs; ``dipoles`` lists
     (level_low, level_high, amplitude) triples using 1-based level
-    indices.  Populations must sum to one.
+    indices.  Populations must sum to one.  :meth:`transitions`, and so
+    ``chi``, needs exactly three levels.
     """
 
     levels: tuple[tuple[float, float], ...]
@@ -243,9 +311,34 @@ class MultilevelModel:
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValidationError("gamma must be > 0")
 
+    def transitions(self) -> TransitionSet:
+        """Uphill transitions of a three-level ensemble."""
+        if len(self.levels) != 3:
+            raise ValidationError("exactly three levels required")
+        scale = self.n_emitters * self.g_scale**2
+        transitions = []
+        for y, z, amp in self.dipoles:
+            w_y, p_y = self.levels[y - 1]
+            w_z, p_z = self.levels[z - 1]
+            omega_zy = w_z - w_y
+            if omega_zy <= 0:
+                # builders stay in the rotating-wave sector; list pairs low-high
+                continue
+            transitions.append(Transition(omega_zy, scale * amp**2, p_y, p_z, self.gamma))
+        if not transitions:
+            raise ValidationError("no uphill transition found in dipole list")
+        return TransitionSet(transitions)
+
+
+# the transition builders and line-model chi under their function names
+tls_transitions = TlsEnsemble.transitions
+vibronic_transitions = VibronicModel.transitions
+three_level_transitions = MultilevelModel.transitions
+chi_vibronic = chi_three_level = LineModel.chi
+
 
 # ---------------------------------------------------------------------------
-# Thermal helpers
+# Thermal and transition-set helpers
 
 
 def thermal_factor(beta: float, omega: float) -> float:
@@ -268,74 +361,19 @@ def thermal_populations(beta: float, omega: float) -> tuple[float, float]:
     return p_g, 1.0 - p_g
 
 
-# ---------------------------------------------------------------------------
-# Transition-set builders (rotating-wave: uphill lines only)
-
-
-def tls_transitions(m: TlsEnsemble) -> TransitionSet:
-    """Single uphill transition of a thermal two-level ensemble."""
-    p_g, p_e = thermal_populations(m.beta, m.omega_exc)
-    return TransitionSet(
-        [Transition(m.omega_exc, m.collective_coupling_sq, p_g, p_e, m.gamma)]
-    )
-
-
-def vibronic_transitions(m: VibronicModel) -> TransitionSet:
-    """Franck-Condon progression as a transition set (zero temperature)."""
-    weights = _franck_condon_weights(m.huang_rhys, m.m_max)
-    base = m.omega_exc - m.huang_rhys * m.omega_v
-    ngg = m.n_emitters * m.g**2
-    return TransitionSet(
-        [
-            Transition(base + k * m.omega_v, ngg * w, 1.0, 0.0, m.gamma)
-            for k, w in enumerate(weights)
-        ]
-    )
-
-
-def three_level_transitions(m: MultilevelModel) -> TransitionSet:
-    """Uphill transitions of a three-level ensemble."""
-    if len(m.levels) != 3:
-        raise ValidationError("exactly three levels required")
-    return _multilevel_transitions(m)
-
-
-def _multilevel_transitions(m: MultilevelModel) -> TransitionSet:
-    scale = m.n_emitters * m.g_scale**2
-    transitions = []
-    for y, z, amp in m.dipoles:
-        w_y, p_y = m.levels[y - 1]
-        w_z, p_z = m.levels[z - 1]
-        omega_zy = w_z - w_y
-        if omega_zy <= 0:
-            # builders stay in the rotating-wave sector; list pairs low-high
-            continue
-        transitions.append(
-            Transition(omega_zy, scale * amp**2, p_y, p_z, m.gamma)
-        )
-    if not transitions:
-        raise ValidationError("no uphill transition found in dipole list")
-    return TransitionSet(transitions)
-
-
 def with_mirror_transitions(ts: TransitionSet) -> TransitionSet:
     """Append the emission partner (-w, populations swapped) of each line.
 
     The mirrored set is what enters two-sided quantities such as the
     dipole correlation function of a stationary ensemble.
     """
-    out = list(ts.transitions)
-    for t in ts:
-        out.append(Transition(-t.omega_zy, t.weight, t.p_z, t.p_y, t.gamma))
-    return TransitionSet(out)
+    mirrors = (Transition(-t.omega_zy, t.weight, t.p_z, t.p_y, t.gamma) for t in ts)
+    return TransitionSet([*ts, *mirrors])
 
 
 def _franck_condon_weights(s: float, m_max: int | None) -> np.ndarray:
     """Poisson weights exp(-S) S^m / m! up to a 1e-12 tail (cap 200)."""
-    if m_max is not None:
-        count = m_max + 1
-    else:
-        count = 201
+    count = 201 if m_max is None else m_max + 1
     w = np.empty(count)
     w[0] = math.exp(-s)
     total = w[0]
@@ -400,16 +438,6 @@ def chi_disordered(
     return ComplexSpectrum(grid, vals)
 
 
-def chi_vibronic(m: VibronicModel, grid: FrequencyGrid) -> ComplexSpectrum:
-    """Vibronic progression with Franck-Condon weighted lines."""
-    return chi_multilevel(vibronic_transitions(m), grid)
-
-
-def chi_three_level(m: MultilevelModel, grid: FrequencyGrid) -> ComplexSpectrum:
-    """Three-level ensemble with arbitrary stationary populations."""
-    return chi_multilevel(three_level_transitions(m), grid)
-
-
 def chi_from_spectral_density(
     J: RealSpectrum, grid: FrequencyGrid, gamma_reg: float | None = None
 ) -> ComplexSpectrum:
@@ -435,19 +463,13 @@ def chi_from_spectral_density(
     if gamma_reg <= 0:
         raise ValidationError("gamma_reg must be > 0")
 
-    w = np.full(jw.size, J.grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    wj = w * jv / math.pi
+    wj = _trapezoid_weights(jw.size, J.grid.spacing) * jv / math.pi
+
+    def kernel(w, x):
+        return -(1.0 / (w[:, None] - x[None, :] + 0.5j * gamma_reg))
 
     omega = grid.points
-    eval_at = np.abs(omega)
-    vals = np.empty(grid.n_points, dtype=complex)
-    chunk = max(1, 2_000_000 // jw.size)
-    for lo in range(0, eval_at.size, chunk):
-        hi = min(lo + chunk, eval_at.size)
-        kern = 1.0 / (eval_at[lo:hi, None] - jw[None, :] + 0.5j * gamma_reg)
-        vals[lo:hi] = -kern @ wj
+    vals = _kernel_sum(kernel, np.abs(omega), jw, wj)
     neg = omega < 0
     vals[neg] = np.conj(vals[neg])
     zero = omega == 0
@@ -477,25 +499,15 @@ def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
             AccuracyWarning,
             stacklevel=2,
         )
-    weights = np.full(t.size, c2.grid.spacing)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    wv = weights * vals
+    wv = _trapezoid_weights(t.size, c2.grid.spacing) * vals
+
+    def phases(w, t):
+        return np.exp(1j * np.outer(w, t))
 
     omega = grid.points
-    f_pos = _one_sided_transform(wv, t, omega)
-    f_neg = _one_sided_transform(wv, t, -omega)
+    f_pos = _kernel_sum(phases, omega, t, wv)
+    f_neg = _kernel_sum(phases, -omega, t, wv)
     return ComplexSpectrum(grid, 1j * (f_pos - np.conj(f_neg)))
-
-
-def _one_sided_transform(weighted_values, t, omega):
-    out = np.empty(omega.size, dtype=complex)
-    chunk = max(1, 2_000_000 // t.size)
-    for lo in range(0, omega.size, chunk):
-        hi = min(lo + chunk, omega.size)
-        phases = np.exp(1j * np.outer(omega[lo:hi], t))
-        out[lo:hi] = phases @ weighted_values
-    return out
 
 
 # ---------------------------------------------------------------------------

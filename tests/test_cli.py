@@ -23,7 +23,7 @@ from polarispec.cli import (
     scenario_to_config,
 )
 from polarispec.core import AccuracyWarning, ValidationError, local_maxima, make_grid
-from polarispec import fileio
+from polarispec import cli, fileio, susceptibility
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -255,6 +255,16 @@ class TestSweep:
         counts = [len(local_maxima(t.transmission)) for t in results]
         assert counts == [4, 3, 1]
 
+    def test_invalid_value_fails_before_any_output(self, tmp_path, capsys):
+        cfg = preset_config("fig2b")
+        cfg["base"]["grid"]["n_points"] = 501
+        cfg["values"] = ["inf", 1.0, -1.0]
+        outdir = tmp_path / "out"
+        argv = ["sweep", "--config", _write_config(tmp_path, cfg), "--outdir", str(outdir)]
+        assert main(argv) == 2
+        assert "sweep.values[2]: model: beta must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("sweep_*.csv"))
+
 
 class TestBundle:
     def test_fig2a_bundle(self, tmp_path, capsys):
@@ -338,6 +348,46 @@ class TestChiReadOnce:
         with pytest.warns(AccuracyWarning):  # the line sits at omega = 0
             export_bundle(parse_scenario(cfg), str(tmp_path / "bundle"))
         assert len(reads) == 1
+
+
+class TestModelChiLookup:
+    """Models reach the chi formulas through module attributes, at call time."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(("chi_tls_thermal", "chi_disordered", "chi_multilevel"), 0)
+        for name in counts:
+
+            def counting(*args, _name=name, _fn=getattr(susceptibility, name)):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(susceptibility, name, counting)
+        return counts
+
+    @pytest.mark.parametrize(
+        "name, formula",
+        [("fig2a", "chi_tls_thermal"), ("fig3a", "chi_disordered"), ("fig4", "chi_multilevel")],
+    )
+    def test_preset_chi(self, calls, name, formula):
+        run_scenario(parse_scenario(preset_config(name)))
+        assert calls[formula] >= 1
+
+    def test_finite_n_lab_frame_tls(self, calls):
+        cfg = {
+            "cavity": {"omega_ph": 2.0, "kappa_L": 0.05, "kappa_R": 0.05},
+            "model": {"kind": "tls", "n_emitters": 1.0, "g": 1.0, "omega_exc": 2.0,
+                      "beta": "inf", "gamma": 0.3},
+            "grid": {"omega_min": -4.0, "omega_max": 8.0, "n_points": 1001},
+            "method": {"kind": "finite_n", "n_modes": 16},
+        }
+        run_scenario(parse_scenario(cfg))
+        assert calls["chi_tls_thermal"] >= 1  # the model
+        assert calls["chi_multilevel"] >= 1  # the surrogate bath
+
+    def test_moved_models_still_import_from_cli(self):
+        assert cli.DisorderedTls is susceptibility.DisorderedTls
+        assert cli.TabulatedChi is fileio.TabulatedChi
 
 
 class TestMainEntry:

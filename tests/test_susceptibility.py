@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import wofz
 
@@ -508,3 +509,64 @@ class TestInvariants:
             rec[k] = (terms.sum() * dw + 2 * dw * dim[i]) / math.pi
         scale = np.abs(re[sel]).max()
         assert np.abs(rec - re[sel]).max() < 0.02 * scale
+
+
+def _three_level(gaps, pops, amps):
+    total = sum(pops)
+    return MultilevelModel(
+        levels=[(0.0, pops[0] / total), (gaps[0], pops[1] / total),
+                (gaps[0] + gaps[1], pops[2] / total)],
+        dipoles=[(1, 2, amps[0]), (2, 3, amps[1]), (1, 3, amps[2])],
+        n_emitters=1.0,
+        g_scale=1.0,
+        gamma=0.3,
+    )
+
+
+_POSITIVE = st.floats(0.1, 3.0)
+# The TLS line sits at omega_exc >= 0.2 with beta >= 0.1 or 0: tanh(beta*w/2)
+# and p_g - p_e then differ by ulps relative to chi (by eps / (beta*w) in
+# general, which only a vanishing beta*w makes large).
+_LINE_MODELS = st.one_of(
+    st.builds(
+        TlsEnsemble,
+        n_emitters=_POSITIVE,
+        g=st.floats(0.0, 3.0),
+        omega_exc=st.floats(0.2, 3.0),
+        beta=st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.1, 10.0)),
+        gamma=st.floats(0.05, 2.0),
+    ),
+    st.builds(
+        VibronicModel,
+        n_emitters=_POSITIVE,
+        g=_POSITIVE,
+        omega_exc=st.floats(-3.0, 3.0),
+        omega_v=st.floats(0.1, 1.0),
+        huang_rhys=st.floats(0.0, 4.0),
+        gamma=st.floats(0.05, 1.0),
+        m_max=st.one_of(st.none(), st.integers(0, 30)),
+    ),
+    st.builds(
+        _three_level,
+        gaps=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+        pops=st.tuples(*[st.floats(0.01, 1.0)] * 3),
+        amps=st.tuples(*[st.floats(0.1, 2.0)] * 3),
+    ),
+)
+
+
+class TestLineModelProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(m=_LINE_MODELS)
+    def test_chi_is_the_pole_sum_of_transitions(self, m):
+        g = make_grid(-4.0, 8.0, 601)
+        chi = m.chi(g).values
+        poles = chi_multilevel(m.transitions(), g).values
+        assert np.abs(chi - poles).max() <= 1e-12 * np.abs(chi).max()
+
+    @settings(derandomize=True, deadline=None)
+    @given(m=_LINE_MODELS)
+    def test_mirror_completed_set_is_conjugate_symmetric(self, m):
+        g = make_grid(-8.0, 8.0, 1025)  # spacing 1/64: every point's mirror is on the grid
+        v = chi_multilevel(with_mirror_transitions(m.transitions()), g).values
+        assert np.abs(v[::-1] - np.conj(v)).max() <= 1e-12 * np.abs(v).max()
