@@ -29,7 +29,6 @@ from .core import (
     RealSpectrum,
     TimeGrid,
     ValidationError,
-    _kernel_sum,
     _trapezoid_weights,
 )
 from .susceptibility import ComplexSpectrum, LineModel, Transition, TransitionSet
@@ -196,14 +195,10 @@ def spectral_density_from_correlation(
     """
     t = c2.grid.times
     weighted = -2.0 * _trapezoid_weights(t.size, c2.grid.spacing) * c2.values.imag
-
-    def sines(w, t):
-        return np.sin(np.outer(w, t))
-
     omega = grid.points
     vals = np.zeros(grid.n_points)
     pos = omega >= 0
-    vals[pos] = _kernel_sum(sines, omega[pos], t, weighted)
+    vals[pos] = [np.sin(w * t) @ weighted for w in omega[pos].tolist()]
     return RealSpectrum(grid, _clip_density(vals))
 
 

@@ -672,6 +672,8 @@ def _load_config(args) -> dict:
 
 def _apply_grid_overrides(cfg: dict, args) -> dict:
     target = cfg["base"] if "base" in cfg else cfg
+    if not isinstance(target, dict):
+        raise ConfigError("sweep.base: expected an object")
     grid = target.get("grid")
     if not isinstance(grid, dict):
         return cfg

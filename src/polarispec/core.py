@@ -1,10 +1,13 @@
-"""Shared domain types, peak finding and the transforms' quadrature.
+"""Shared domain types, peak finding and the transforms' trapezoid weights.
 
 All quantities use hbar = 1 and a single arbitrary frequency unit, so
 frequencies, rates, couplings and inverse temperatures are mutually
 consistent by construction.  Every type here is immutable after
 construction and safe to share across threads; the operations are pure
 functions of their inputs.
+
+The transforms weight their samples with ``_trapezoid_weights`` and sum
+one pole or one Fourier row at a time; no dense block is ever built.
 """
 
 from __future__ import annotations
@@ -199,17 +202,6 @@ def _trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
-
-
-def _kernel_sum(kernel, rows, cols, weights) -> np.ndarray:
-    """out_i = sum_j kernel(rows, cols)[i, j] * weights_j, in blocks of ~2e6 entries.
-
-    ``kernel(row_block, cols)`` returns the dense block; only one block is
-    alive at a time, so memory stays bounded for any number of rows.
-    """
-    step = max(1, 2_000_000 // cols.size)
-    blocks = [kernel(rows[i : i + step], cols) @ weights for i in range(0, rows.size, step)]
-    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=weights.dtype)
 
 
 def make_grid(omega_min: float, omega_max: float, n_points: int) -> FrequencyGrid:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +96,17 @@ def read_chi_csv(path: str) -> ComplexSpectrum:
             raise ValidationError(
                 f"{path}: expected header 'omega,re_chi,im_chi', got {header!r}"
             )
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            with warnings.catch_warnings():  # no data rows is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a non-numeric cell or a ragged row
+            raise ValidationError(f"{path}: {exc}") from exc
+    if data.shape[0] < 2:
+        raise ValidationError(f"{path}: need at least two rows")
     if data.shape[1] != 3:
         raise ValidationError(f"{path}: expected 3 columns, got {data.shape[1]}")
     omega = data[:, 0]
-    if omega.size < 2:
-        raise ValidationError(f"{path}: need at least two rows")
     spacing = np.diff(omega)
     if spacing.min() <= 0 or np.abs(spacing - spacing[0]).max() > 1e-9 * abs(
         spacing[0]
@@ -167,7 +173,7 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def write_tra_svg(path: str, tra: TraSpectra, title: str = "") -> None:
+def write_tra_svg(path: str, tra: TraSpectra) -> None:
     """Render T/R/A as a static SVG line chart (axes, ticks, legend)."""
     omega = tra.grid.points
     series = [
@@ -199,11 +205,6 @@ def write_tra_svg(path: str, tra: TraSpectra, title: str = "") -> None:
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_ML}" y="16" font-family="sans-serif" '
-            f'font-size="13">{title}</text>'
-        )
     for xv in _ticks(xlo, xhi):
         parts.append(
             f'<line x1="{sx(xv):.2f}" y1="{_MT + plot_h}" x2="{sx(xv):.2f}" '

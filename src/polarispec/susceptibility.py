@@ -39,7 +39,6 @@ from .core import (
     FrequencyGrid,
     RealSpectrum,
     ValidationError,
-    _kernel_sum,
     _trapezoid_weights,
 )
 
@@ -391,20 +390,36 @@ def _franck_condon_weights(s: float, m_max: int | None) -> np.ndarray:
 # Susceptibility builders
 
 
+def _pole_sum(omega: np.ndarray, poles) -> np.ndarray:
+    """-sum_p s_p / (omega - c_p + i*w_p/2) over ``(centre, width, strength)`` poles.
+
+    Adds one pole at a time in iteration order, so a value depends only
+    on its own frequency and the pole order, never on the grid around it.
+    """
+    vals = np.zeros(omega.size, dtype=complex)
+    for c, w, s in poles:
+        vals -= s / (omega - c + 0.5j * w)
+    return vals
+
+
+def _reflect(omega: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Turn chi(|w|) into chi(w): chi(-w) = conj(chi(w)), and chi(0) is real."""
+    vals[omega < 0] = np.conj(vals[omega < 0])
+    vals[omega == 0] = vals[omega == 0].real
+    return vals
+
+
 def chi_multilevel(ts: TransitionSet, grid: FrequencyGrid) -> ComplexSpectrum:
     """Susceptibility of an arbitrary transition set.
 
-    Transitions are summed in list order with one pole each, so results
-    are bitwise reproducible regardless of how callers parallelize over
-    frequency.
+    The pole sum with one pole (w_t, gamma_t, (p_y - p_z) * weight_t) per
+    transition, added in list order, so results are bitwise reproducible
+    regardless of how callers split or parallelize over frequency.
     """
     if len(ts) == 0:
         raise ValidationError("transition set is empty")
-    omega = grid.points
-    vals = np.zeros(grid.n_points, dtype=complex)
-    for t in ts:
-        vals -= (t.p_y - t.p_z) * t.weight / (omega - t.omega_zy + 0.5j * t.gamma)
-    return ComplexSpectrum(grid, vals)
+    poles = ((t.omega_zy, t.gamma, (t.p_y - t.p_z) * t.weight) for t in ts)
+    return ComplexSpectrum(grid, _pole_sum(grid.points, poles))
 
 
 def chi_tls_thermal(m: TlsEnsemble, grid: FrequencyGrid) -> ComplexSpectrum:
@@ -443,14 +458,15 @@ def chi_from_spectral_density(
 ) -> ComplexSpectrum:
     """Susceptibility from a positive-frequency coupling density.
 
-    Evaluates chi(w > 0) = -(1/pi) * Int J(w') / (w - w' + i*gamma_reg/2) dw'
-    with trapezoidal quadrature on J's grid; negative frequencies are
-    filled by the reflection chi(-w) = conj(chi(w)).  The reflection maps
-    w = 0 onto itself and so forces chi(0) to be real; there the value is
-    the mean of the one-sided formula and its mirror, i.e. its real part
-    (the imaginary part it drops is the gamma_reg tail of J leaking to
-    w = 0).  ``gamma_reg`` defaults to twice the spacing of J's grid, the
-    smallest value that still buries the discretization scale.
+    Evaluates chi(w >= 0) = -(1/pi) * Int J(w') / (w - w' + i*gamma_reg/2) dw'
+    by the trapezoid rule on J's grid: the pole sum of J's samples, one
+    pole (w'_j, gamma_reg, trap_j * J_j / pi) each, as in
+    :func:`chi_multilevel`.  Negative frequencies are filled by the
+    reflection chi(-w) = conj(chi(w)), which forces chi(0) to be real: the
+    one-sided formula's real part (the imaginary part it drops is the
+    gamma_reg tail of J leaking to w = 0).  ``gamma_reg`` defaults to
+    twice the spacing of J's grid, the smallest value that still buries
+    the discretization scale.
     """
     jv = J.values
     jw = J.grid.points
@@ -464,17 +480,9 @@ def chi_from_spectral_density(
         raise ValidationError("gamma_reg must be > 0")
 
     wj = _trapezoid_weights(jw.size, J.grid.spacing) * jv / math.pi
-
-    def kernel(w, x):
-        return -(1.0 / (w[:, None] - x[None, :] + 0.5j * gamma_reg))
-
+    poles = ((x, gamma_reg, s) for x, s in zip(jw.tolist(), wj.tolist()))
     omega = grid.points
-    vals = _kernel_sum(kernel, np.abs(omega), jw, wj)
-    neg = omega < 0
-    vals[neg] = np.conj(vals[neg])
-    zero = omega == 0
-    vals[zero] = vals[zero].real
-    return ComplexSpectrum(grid, vals)
+    return ComplexSpectrum(grid, _reflect(omega, _pole_sum(np.abs(omega), poles)))
 
 
 def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
@@ -484,11 +492,14 @@ def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
     t >= 0, stationarity supplying C(-t) = conj(C(t))).  With the
     convention f(w) = -i * Int e^{iwt} f(t) dt this is
 
-        chi(w) = -[C(w) + conj(C(-w))] = i * [F(w) - conj(F(-w))],
+        chi(w) = -[C(w) + conj(C(-w))] = -2 * Int_0^inf e^{iwt} Im C(t) dt,
 
-    with F the plain one-sided transform, evaluated by trapezoidal
-    summation.  Warns when the samples have not decayed by the end of the
-    window, since then the transform is visibly truncated.
+    evaluated by trapezoidal summation, one row of cos and sin of |w|t
+    per output point.  Since Im C is real, the formula itself obeys
+    chi(-w) = conj(chi(w)); negative frequencies are filled by that
+    reflection, which also makes chi(0) real.  Warns when the samples
+    have not decayed by the end of the window, since then the transform
+    is visibly truncated.
     """
     t = c2.grid.times
     vals = np.asarray(c2.values, dtype=complex)
@@ -499,15 +510,11 @@ def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
             AccuracyWarning,
             stacklevel=2,
         )
-    wv = _trapezoid_weights(t.size, c2.grid.spacing) * vals
-
-    def phases(w, t):
-        return np.exp(1j * np.outer(w, t))
-
+    weighted = -2.0 * _trapezoid_weights(t.size, c2.grid.spacing) * vals.imag
     omega = grid.points
-    f_pos = _kernel_sum(phases, omega, t, wv)
-    f_neg = _kernel_sum(phases, -omega, t, wv)
-    return ComplexSpectrum(grid, 1j * (f_pos - np.conj(f_neg)))
+    phases = (w * t for w in np.abs(omega).tolist())
+    chi = np.array([complex(np.cos(p) @ weighted, np.sin(p) @ weighted) for p in phases])
+    return ComplexSpectrum(grid, _reflect(omega, chi))
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,14 @@ class TestMainEntry:
     def test_sweep_preset_under_spectrum_rejected(self, capsys):
         assert main(["spectrum", "--preset", "fig2b"]) == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "spectrum", "bundle"])
+    def test_non_object_sweep_base_is_a_config_error(self, tmp_path, capsys, command):
+        path = _write_config(tmp_path, {"base": 5, "parameter": "model.beta", "values": [1]})
+        argv = [command, "--config", path, "--outdir", str(tmp_path / "out")]
+        assert main(argv[:3] if command == "spectrum" else argv) == 2
+        assert "error: sweep.base: expected an object" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
 
 class TestCsvFormats:
     def test_chi_header_validated(self, tmp_path):
@@ -497,3 +505,25 @@ class TestCsvFormats:
         path.write_text("omega,re_chi,im_chi\n0.0,1.0,0.0\n1.0,1.0,0.0\n3.0,1.0,0.0\n")
         with pytest.raises(Exception, match="uniform"):
             fileio.read_chi_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.0,1.0,abc\n1.0,1.0,0.0\n", "could not convert string 'abc'"),
+            ("0.0,1.0\n1.0,1.0,0.0\n", "number of columns changed from 2 to 3"),
+            ("", "need at least two rows"),
+        ],
+        ids=["non-numeric", "ragged", "header-only"],
+    )
+    def test_bad_rows_are_validation_errors(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "chi.csv"
+        path.write_text("omega,re_chi,im_chi\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message) as info:
+                fileio.read_chi_csv(str(path))
+        assert str(path) in str(info.value)
+        cfg = preset_config("empty_cavity")
+        cfg["model"]["path"] = str(path)
+        assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err

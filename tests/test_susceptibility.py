@@ -570,3 +570,57 @@ class TestLineModelProperties:
         g = make_grid(-8.0, 8.0, 1025)  # spacing 1/64: every point's mirror is on the grid
         v = chi_multilevel(with_mirror_transitions(m.transitions()), g).values
         assert np.abs(v[::-1] - np.conj(v)).max() <= 1e-12 * np.abs(v).max()
+
+
+# A few damped lines (frequency, weight, linewidth) on both sides of zero.
+_LINES = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 2.0), st.floats(0.5, 2.0)),
+    min_size=1,
+    max_size=4,
+)
+_MIRROR_GRID = make_grid(-4.0, 4.0, 257)  # spacing 1/32: mirror-exact, w = 0 on the grid
+_J_GRID = make_grid(0.0, 8.0, 257)
+
+
+def _density(lines):
+    """Sum of positive-frequency Lorentzians, zero at w = 0 and below."""
+    w = _J_GRID.points
+    vals = sum(a * 0.5 * g / ((w - abs(c)) ** 2 + 0.25 * g**2) for c, a, g in lines)
+    return RealSpectrum(_J_GRID, np.where(w > 0, vals, 0.0))
+
+
+def _assert_reflection_exact(chi):
+    v = chi.values
+    assert np.array_equal(v[::-1], np.conj(v))
+    assert v[_MIRROR_GRID.points == 0].imag[0] == 0.0
+
+
+class TestTransformProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(lines=_LINES)
+    def test_correlation_transform_reflects_exactly(self, lines):
+        tg = TimeGrid(40.0, 801)
+        t = tg.times
+        c = sum(a * np.exp((-1j * w - 0.5 * g) * t) for w, a, g in lines)
+        _assert_reflection_exact(chi_from_correlation(CorrelationFunction(tg, c), _MIRROR_GRID))
+
+    @settings(derandomize=True, deadline=None)
+    @given(lines=_LINES, gamma_reg=st.floats(0.01, 0.5))
+    def test_density_transform_reflects_exactly(self, lines, gamma_reg):
+        _assert_reflection_exact(chi_from_spectral_density(_density(lines), _MIRROR_GRID, gamma_reg))
+
+    @settings(derandomize=True, deadline=None)
+    @given(lines=_LINES, gamma_reg=st.floats(0.01, 0.5))
+    def test_density_transform_is_the_pole_sum_of_its_samples(self, lines, gamma_reg):
+        J = _density(lines)
+        trap = np.full(_J_GRID.n_points, _J_GRID.spacing)
+        trap[[0, -1]] *= 0.5
+        ts = TransitionSet(
+            Transition(x, wt * j / math.pi, 1.0, 0.0, gamma_reg)
+            for x, wt, j in zip(_J_GRID.points, trap, J.values)
+        )
+        g = make_grid(0.0, 4.0, 129)
+        chi = chi_from_spectral_density(J, g, gamma_reg).values
+        poles = chi_multilevel(ts, g).values.copy()
+        poles[0] = poles[0].real  # the reflection makes chi(0) real
+        assert np.abs(chi - poles).max() <= 1e-12 * np.abs(chi).max()
