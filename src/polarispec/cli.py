@@ -29,8 +29,8 @@ codec both parses and serializes it.  A model kind names only the class
 it builds; the model object computes its own ``chi(grid)`` and
 ``transitions()``, so this module holds no model physics.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error,
-4 file I/O error.
+Exit codes: 0 success, 2 configuration error (a grid too large to fit in
+memory included), 3 numerical error, 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv as _csv
-import io
 import json
 import math
 import os
@@ -341,7 +340,10 @@ def parse_sweep(cfg: dict) -> Sweep:
     keys = ("base", "parameter", "values")
     raw = _parse_fields(dict.fromkeys(keys, _RAW), cfg, "sweep", "sweep.")
     base_cfg, parameter, values = (raw[k] for k in keys)
-    base = parse_scenario(base_cfg)
+    try:
+        base = parse_scenario(base_cfg)
+    except ValidationError as exc:
+        raise ConfigError(f"sweep.base: {exc}") from exc
     if not isinstance(parameter, str) or not parameter:
         raise ConfigError("sweep.parameter: expected a dotted path string")
     if not isinstance(values, list) or not values:
@@ -472,12 +474,11 @@ def run_sweep(sw: Sweep, outdir: str = ".") -> list[TraSpectra]:
         fileio.write_tra_csv(os.path.join(outdir, f"sweep_{i:03d}.csv"), tra)
         label = value if isinstance(value, str) else json.dumps(value)
         rows.append((label, peak_splitting(tra)))
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["value", "peak_splitting"])
-    for label, split in rows:
-        writer.writerow([label, "%.16e" % split])
-    fileio._atomic_write_text(os.path.join(outdir, "summary.csv"), buf.getvalue())
+    with fileio._atomic_open(os.path.join(outdir, "summary.csv")) as fh:
+        writer = _csv.writer(fh, lineterminator="\n")
+        writer.writerow(["value", "peak_splitting"])
+        for label, split in rows:
+            writer.writerow([label, "%.16e" % split])
     return results
 
 
@@ -670,12 +671,18 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _apply_grid_overrides(cfg: dict, args) -> dict:
+def _grid_section(cfg: dict) -> dict | None:
+    """The grid object of a scenario or of a sweep's base; None if absent."""
     target = cfg["base"] if "base" in cfg else cfg
     if not isinstance(target, dict):
         raise ConfigError("sweep.base: expected an object")
     grid = target.get("grid")
-    if not isinstance(grid, dict):
+    return grid if isinstance(grid, dict) else None
+
+
+def _apply_grid_overrides(cfg: dict, args) -> dict:
+    grid = _grid_section(cfg)
+    if grid is None:
         return cfg
     if args.points is not None:
         grid["n_points"] = args.points
@@ -715,6 +722,7 @@ def main(argv=None) -> int:
     p_bundle.add_argument("--outdir", required=True, help="output directory")
 
     args = parser.parse_args(argv)
+    cfg = None
     try:
         cfg = _apply_grid_overrides(_load_config(args), args)
         if args.command == "spectrum":
@@ -760,6 +768,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        grid = _grid_section(cfg) if cfg else None
+        points = grid.get("n_points") if grid else None
+        size = f"a grid of {points} points" if points is not None else "this run"
+        print(f"error: {size} does not fit in memory; use fewer --points", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -227,28 +227,32 @@ def local_maxima(
     maximum, which suppresses discretization ripple on smooth spectra.
 
     Returns ``(frequency, value)`` pairs sorted by frequency.
+
+    The search is vectorized: each run's end, left minimum (the last
+    non-rise at or before the run start) and right minimum (the first
+    non-fall at or after the run end) come from ``np.searchsorted`` on the
+    indices where the spectrum changes, does not rise and does not fall,
+    so the cost grows with the grid in numpy, not in Python.  The contract
+    above is unchanged.
     """
     v = s.values
     omega = s.grid.points
     if min_prominence is None:
         min_prominence = 1e-3 * v.max()
-    peaks: list[tuple[float, float]] = []
     n = v.size
     # first samples of the runs entered by a strict rise and not left by one
-    starts = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
-    for first in starts:
-        last = first
-        while last < n - 1 and v[last + 1] == v[first]:
-            last += 1
-        if last == n - 1 or not v[last + 1] < v[first]:
-            continue
-        j = first
-        while j > 0 and v[j - 1] < v[j]:
-            j -= 1
-        k = last
-        while k < n - 1 and v[k + 1] < v[k]:
-            k += 1
-        if v[first] - max(v[j], v[k]) > min_prominence:
-            mid = (first + last) // 2
-            peaks.append((float(omega[mid]), float(v[mid])))
-    return peaks
+    first = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
+    # a run ends at the first change at or after its start, else at n - 1
+    changes = np.append(np.flatnonzero(v[1:] != v[:-1]), n - 1)
+    last = changes[np.searchsorted(changes, first)]
+    # left by a strict fall; a run reaching n - 1 compares its own last sample
+    is_max = v[np.minimum(last + 1, n - 1)] < v[first]
+    first, last = first[is_max], last[is_max]
+    # index 0 counts as a non-rise and n - 1 as a non-fall
+    non_rise = np.flatnonzero(np.append(True, v[1:] <= v[:-1]))
+    non_fall = np.flatnonzero(np.append(v[1:] >= v[:-1], True))
+    left = non_rise[np.searchsorted(non_rise, first, side="right") - 1]
+    right = non_fall[np.searchsorted(non_fall, last)]
+    prominent = v[first] - np.maximum(v[left], v[right]) > min_prominence
+    mid = (first[prominent] + last[prominent]) // 2
+    return list(zip(omega[mid].tolist(), v[mid].tolist()))

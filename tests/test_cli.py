@@ -265,6 +265,24 @@ class TestSweep:
         assert "sweep.values[2]: model: beta must be >= 0" in capsys.readouterr().err
         assert not list(tmp_path.rglob("sweep_*.csv"))
 
+    def test_base_errors_name_the_base(self):
+        cfg = preset_config("fig2b")
+        cfg["base"]["cavity"]["omega_ph"] = "x"
+        with pytest.raises(
+            ConfigError, match=r"^sweep\.base: cavity\.omega_ph: expected a number, got 'x'$"
+        ):
+            parse_sweep(cfg)
+
+    def test_base_error_through_main(self, tmp_path, capsys):
+        cfg = preset_config("fig2b")
+        cfg["base"]["cavity"]["omega_ph"] = "x"
+        outdir = tmp_path / "out"
+        argv = ["sweep", "--config", _write_config(tmp_path, cfg), "--outdir", str(outdir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: sweep.base: cavity.omega_ph: expected a number, got 'x'" in err
+        assert not outdir.exists()
+
 
 class TestBundle:
     def test_fig2a_bundle(self, tmp_path, capsys):
@@ -481,6 +499,17 @@ class TestMainEntry:
         assert "error: sweep.base: expected an object" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    def test_grid_that_does_not_fit_is_one_error_line(self, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+        assert main(["spectrum", "--preset", "fig2a", "--points", "123"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: a grid of 123 points does not fit in memory; use fewer --points\n"
+        )
+
 
 class TestCsvFormats:
     def test_chi_header_validated(self, tmp_path):
@@ -527,3 +556,62 @@ class TestCsvFormats:
         cfg["model"]["path"] = str(path)
         assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_cols", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+        ids=["1", "block-1", "block", "block+1", "3block+7"],
+    )
+    def test_streamed_blocks_match_per_row_format(
+        self, tmp_path, monkeypatch, n_cols, blocks, extra
+    ):
+        block = 8
+        monkeypatch.setattr(fileio, "_BLOCK_ROWS", block)
+        n = blocks * block + extra
+        rng = np.random.default_rng(n * n_cols)
+        cols = [
+            rng.normal(scale=10.0 ** rng.integers(-300, 300), size=n)
+            for _ in range(n_cols)
+        ]
+        cols[0][0] = -0.0
+        path = tmp_path / "cols.csv"
+        fileio.write_columns(str(path), "header", cols)
+        rows = [",".join(fileio._FMT % c[i] for c in cols) for i in range(n)]
+        assert path.read_bytes() == ("\n".join(["header", *rows]) + "\n").encode()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, existing):
+        monkeypatch.setattr(fileio, "_BLOCK_ROWS", 4)
+        target = tmp_path / "out.csv"
+        if existing:
+            target.write_text("old\n")
+        real_fdopen = os.fdopen
+
+        class FailsAfterFirstBlock:
+            """File handle whose third write fails: the block after the header and first block."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("disk full")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(
+            fileio.os, "fdopen", lambda fd, mode: FailsAfterFirstBlock(real_fdopen(fd, mode))
+        )
+        with pytest.raises(OSError, match="disk full"):
+            fileio.write_columns(str(target), "x,y", [np.arange(10.0), np.arange(10.0)])
+        assert not list(tmp_path.glob("*.tmp"))
+        if existing:
+            assert target.read_text() == "old\n"
+        else:
+            assert not target.exists()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import find_peaks
 
+from polarispec.cli import parse_scenario, preset_config, preset_names, run_scenario
 from polarispec.core import (
     ComplexSpectrum,
     FrequencyGrid,
@@ -176,3 +179,63 @@ class TestLocalMaxima:
         assert len(strict) == 1
         loose = local_maxima(RealSpectrum(g, vals), min_prominence=1e-5)
         assert len(loose) == 2
+
+
+def _walk_maxima(s, min_prominence=None):
+    """Reference for ``local_maxima``: walk each candidate's run and flanks in Python."""
+    v = s.values
+    omega = s.grid.points
+    if min_prominence is None:
+        min_prominence = 1e-3 * v.max()
+    peaks = []
+    n = v.size
+    starts = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
+    for first in starts:
+        last = first
+        while last < n - 1 and v[last + 1] == v[first]:
+            last += 1
+        if last == n - 1 or not v[last + 1] < v[first]:
+            continue
+        j = first
+        while j > 0 and v[j - 1] < v[j]:
+            j -= 1
+        k = last
+        while k < n - 1 and v[k + 1] < v[k]:
+            k += 1
+        if v[first] - max(v[j], v[k]) > min_prominence:
+            mid = (first + last) // 2
+            peaks.append((float(omega[mid]), float(v[mid])))
+    return peaks
+
+
+# runs of one to three samples on five integer levels, so plateaus, flat
+# tops, flat steps and flat grid ends are common
+_TIED = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(1, 3)), min_size=2, max_size=20
+).map(lambda runs: [float(level) for level, length in runs for _ in range(length)])
+_FLOATS = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=40)
+# the default, zero, and integer thresholds that the tied arrays' heights can hit exactly
+_PROMINENCES = st.sampled_from([None, 0.0, -1.0, 1.0, 2.0])
+
+
+class TestLocalMaximaMatchesWalk:
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(vals=st.one_of(_TIED, _FLOATS), prominence=_PROMINENCES)
+    def test_same_peaks_as_the_walk(self, vals, prominence):
+        g = make_grid(0, len(vals) - 1, len(vals))
+        s = RealSpectrum(g, np.array(vals))
+        assert local_maxima(s, prominence) == _walk_maxima(s, prominence)
+
+
+_NON_SWEEP = [name for name in preset_names() if "base" not in preset_config(name)]
+
+
+@pytest.mark.parametrize("n_points", [4001, 100000])
+@pytest.mark.parametrize("name", _NON_SWEEP)
+def test_preset_transmission_peaks_match_scipy(name, n_points):
+    cfg = preset_config(name)
+    cfg["grid"]["n_points"] = n_points
+    t = run_scenario(parse_scenario(cfg)).transmission
+    idx, _ = find_peaks(t.values, prominence=1e-3 * t.values.max())
+    expected = list(zip(t.grid.points[idx].tolist(), t.values[idx].tolist()))
+    assert local_maxima(t) == expected
