@@ -29,9 +29,16 @@ from .core import (
     RealSpectrum,
     TimeGrid,
     ValidationError,
+    _chirp_z,
     _trapezoid_weights,
 )
-from .susceptibility import ComplexSpectrum, LineModel, Transition, TransitionSet
+from .susceptibility import (
+    ComplexSpectrum,
+    LineModel,
+    Transition,
+    TransitionSet,
+    _correlation_fourier,
+)
 
 __all__ = [
     "CorrelationFunction",
@@ -188,17 +195,20 @@ def spectral_density_from_correlation(
     """Coupling density via the sine transform of the correlation samples.
 
     Uses the two-sided extension C(-t) = conj(C(t)), under which the full
-    transform reduces to -2 * Int_0^inf Im C(t) sin(w t) dt.  The result
-    is clipped to zero where small negative quadrature residue appears
-    (below 1e-10 of the maximum); a structurally negative density means
-    population inversion and raises instead.
+    transform reduces to -2 * Int_0^inf Im C(t) sin(w t) dt: the imaginary
+    part of the chirp-z transform behind
+    :func:`polarispec.susceptibility.chi_from_correlation`, evaluated at
+    w >= 0 in O((N+K) log(N+K)); J(0) is exactly zero and J(w < 0) is
+    zero.  The result is clipped to zero where small negative quadrature
+    residue appears (below 1e-10 of the maximum); a structurally negative
+    density means population inversion and raises instead.  Warns, as
+    chi_from_correlation does, when the samples have not decayed by the
+    end of the window.
     """
-    t = c2.grid.times
-    weighted = -2.0 * _trapezoid_weights(t.size, c2.grid.spacing) * c2.values.imag
     omega = grid.points
-    vals = np.zeros(grid.n_points)
     pos = omega >= 0
-    vals[pos] = [np.sin(w * t) @ weighted for w in omega[pos].tolist()]
+    vals = np.zeros(grid.n_points)
+    vals[pos] = _correlation_fourier(c2, omega[pos], grid.spacing).imag
     return RealSpectrum(grid, _clip_density(vals))
 
 
@@ -270,8 +280,12 @@ def reconstruct_correlation(
 
     C(t) = (1/pi) * Int dw J(w) [coth(beta_eff(w) w / 2) cos(wt) - i sin(wt)]
 
-    by trapezoidal quadrature over the shared positive-frequency grid.
-    At beta_eff = +inf the occupation factor is exactly one.
+    by trapezoidal quadrature over the shared positive-frequency grid,
+    one chirp-z transform (:func:`polarispec.core._chirp_z`) of the cos and
+    the sin weights at every t_k = k*dt: O((N+K) log(N+K)) for N
+    frequencies and K times.  C(0) is the plain sum of the weights, with
+    Im C(0) exactly zero.  At beta_eff = +inf the occupation factor is
+    exactly one.
     """
     if J.grid != beta_eff.grid:
         raise ValidationError("J and beta_eff must share one frequency grid")
@@ -291,21 +305,13 @@ def reconstruct_correlation(
     w = _trapezoid_weights(omega.size, J.grid.spacing)
     cos_part = np.where(jv == 0, 0.0, w * jv * occ) / math.pi
     sin_part = (w * jv) / math.pi
-
-    # Phase recurrence over the uniform time grid: one complex rotation per
-    # step instead of fresh trig evaluations (grids here can reach 1e6+
-    # points; accumulated rounding stays at ~n_steps * eps).
-    t = tg.times
-    dt = tg.spacing
-    phase = np.ones(omega.size, dtype=complex)
-    step = np.exp(-1j * omega * dt)
-    vals = np.empty(t.size, dtype=complex)
-    for k in range(t.size):
-        if k:
-            phase *= step
-        # cos(wt) = Re(phase); sin(wt) = -Im(phase) for phase = e^{-iwt}
-        vals[k] = cos_part @ phase.real + 1j * (sin_part @ phase.imag)
-    return CorrelationFunction(tg, vals)
+    # sum_j part_j e^{-i w_j t_k}: Re of the cos row is cos_part @ cos(wt),
+    # Im of the sin row is -(sin_part @ sin(wt))
+    rows = _chirp_z(
+        np.stack([cos_part, sin_part]), omega[0], J.grid.spacing,
+        0.0, tg.spacing, tg.n_points, -1,
+    )
+    return CorrelationFunction(tg, rows[0].real + 1j * rows[1].imag)
 
 
 def discretize_bath(

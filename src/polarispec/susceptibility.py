@@ -39,6 +39,7 @@ from .core import (
     FrequencyGrid,
     RealSpectrum,
     ValidationError,
+    _chirp_z,
     _trapezoid_weights,
 )
 
@@ -395,10 +396,17 @@ def _pole_sum(omega: np.ndarray, poles) -> np.ndarray:
 
     Adds one pole at a time in iteration order, so a value depends only
     on its own frequency and the pole order, never on the grid around it.
+    Each pole is written through one float and one complex buffer, so the
+    loop allocates nothing per pole.
     """
     vals = np.zeros(omega.size, dtype=complex)
+    x = np.empty(omega.size)
+    z = np.empty(omega.size, dtype=complex)
     for c, w, s in poles:
-        vals -= s / (omega - c + 0.5j * w)
+        np.subtract(omega, c, out=x)
+        np.add(x, 0.5j * w, out=z)
+        np.divide(s, z, out=z)
+        np.subtract(vals, z, out=vals)
     return vals
 
 
@@ -485,6 +493,44 @@ def chi_from_spectral_density(
     return ComplexSpectrum(grid, _reflect(omega, _pole_sum(np.abs(omega), poles)))
 
 
+def _correlation_fourier(c2, omega: np.ndarray, spacing: float) -> np.ndarray:
+    """-2 * Int_0^inf e^{i|w|t} Im C(t) dt at ascending uniform ``omega``.
+
+    The trapezoid sum over the samples of ``c2`` by :func:`_chirp_z`: one
+    transform for the w >= 0 points, and one for the |w| of the negative
+    points unless all of them are among those.  A negative point whose
+    |w| is a w >= 0 point takes that row, so rows at +w and -w share one
+    value.  The zero phase row at w = 0 is the plain (real) sum.  Warns
+    when the samples have not decayed by the end of the window, since
+    then the transform is visibly truncated.
+    """
+    vals = np.asarray(c2.values, dtype=complex)
+    if abs(vals[-1]) > 1e-3 * abs(vals[0]):
+        warnings.warn(
+            "correlation function has not decayed over the sampled window; "
+            "the transform is truncated and the result loses accuracy",
+            AccuracyWarning,
+            stacklevel=3,
+        )
+    tg = c2.grid
+    weighted = -2.0 * _trapezoid_weights(tg.n_points, tg.spacing) * vals.imag
+
+    def at(y):  # y: ascending uniform |w| values
+        return _chirp_z(weighted, 0.0, tg.spacing, y[0], spacing, y.size, 1)
+
+    k0 = int(np.searchsorted(omega, 0.0))
+    pos, neg = omega[k0:], -omega[:k0][::-1]
+    out = np.empty(omega.size, dtype=complex)
+    if pos.size:
+        out[k0:] = at(pos)
+    if neg.size:
+        shared = np.isin(neg, pos)
+        out_neg = np.empty(neg.size, dtype=complex) if shared.all() else at(neg)
+        out_neg[shared] = out[k0 + np.searchsorted(pos, neg[shared])]
+        out[:k0] = out_neg[::-1]
+    return out
+
+
 def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
     """Susceptibility from a one-sided dipole correlation function.
 
@@ -494,26 +540,17 @@ def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
 
         chi(w) = -[C(w) + conj(C(-w))] = -2 * Int_0^inf e^{iwt} Im C(t) dt,
 
-    evaluated by trapezoidal summation, one row of cos and sin of |w|t
-    per output point.  Since Im C is real, the formula itself obeys
-    chi(-w) = conj(chi(w)); negative frequencies are filled by that
-    reflection, which also makes chi(0) real.  Warns when the samples
-    have not decayed by the end of the window, since then the transform
-    is visibly truncated.
+    evaluated by trapezoidal summation at every distinct |w| with one
+    chirp-z transform (:func:`polarispec.core._chirp_z`): O((N+K) log(N+K))
+    for N samples and K points, within ~1e-13 of the direct sum.  Since
+    Im C is real, the formula itself obeys chi(-w) = conj(chi(w));
+    negative frequencies are filled by that reflection, so rows at +w and
+    -w agree exactly and chi(0), the plain sum, is real.  Warns when the
+    samples have not decayed by the end of the window, since then the
+    transform is visibly truncated.
     """
-    t = c2.grid.times
-    vals = np.asarray(c2.values, dtype=complex)
-    if abs(vals[-1]) > 1e-3 * abs(vals[0]):
-        warnings.warn(
-            "correlation function has not decayed over the sampled window; "
-            "the transform is truncated and the result loses accuracy",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    weighted = -2.0 * _trapezoid_weights(t.size, c2.grid.spacing) * vals.imag
     omega = grid.points
-    phases = (w * t for w in np.abs(omega).tolist())
-    chi = np.array([complex(np.cos(p) @ weighted, np.sin(p) @ weighted) for p in phases])
+    chi = _correlation_fourier(c2, omega, grid.spacing)
     return ComplexSpectrum(grid, _reflect(omega, chi))
 
 

@@ -170,6 +170,17 @@ class TestLocalMaxima:
             p2 = local_maxima(RealSpectrum(g, scale * vals), 0.01 * scale)
             assert len(p1) == len(p2)
 
+    def test_default_prominence_on_a_nowhere_positive_spectrum(self):
+        # a Lorentzian on a negative baseline with ripple: the default
+        # threshold is 1e-3 of max|v| ~ 6e-3, above the ripple's 2e-3
+        g = make_grid(-3, 3, 1201)
+        vals = _lorentzian(g.points, 0.0, 0.5) - 6.0 + 1e-3 * np.sin(200 * g.points)
+        assert vals.max() < 0
+        peaks = local_maxima(RealSpectrum(g, vals))
+        assert len(peaks) == 1
+        assert abs(peaks[0][0]) <= g.spacing
+        assert len(local_maxima(RealSpectrum(g, vals), 0.0)) > 1
+
     def test_prominence_filters_shoulder(self):
         g = make_grid(-3, 3, 1201)
         vals = _lorentzian(g.points, 0.0, 0.5) + 0.003 * _lorentzian(
