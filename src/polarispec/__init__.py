@@ -13,118 +13,20 @@ an open-quantum-systems description.
 Units: hbar = 1 and one arbitrary frequency unit throughout.
 """
 
-from .core import (
-    AccuracyWarning,
-    ComplexSpectrum,
-    FrequencyGrid,
-    GainWarning,
-    NumericalError,
-    RealSpectrum,
-    TimeGrid,
-    TraSpectra,
-    ValidationError,
-    local_maxima,
-    make_grid,
-)
-from .susceptibility import (
-    DisorderedTls,
-    DisorderSpec,
-    LineModel,
-    MultilevelModel,
-    TlsEnsemble,
-    Transition,
-    TransitionSet,
-    VibronicModel,
-    chi_disordered,
-    chi_from_correlation,
-    chi_from_spectral_density,
-    chi_multilevel,
-    chi_three_level,
-    chi_tls_thermal,
-    chi_vibronic,
-    faddeeva,
-    thermal_factor,
-    thermal_populations,
-    three_level_transitions,
-    tls_transitions,
-    vibronic_transitions,
-    with_mirror_transitions,
-)
-from .bathmap import (
-    BathMode,
-    CorrelationFunction,
-    DiscretizedBath,
-    EffectiveTemperature,
-    correlation_from_transitions,
-    discretize_bath,
-    effective_temperature,
-    reconstruct_correlation,
-    spectral_density_from_chi,
-    spectral_density_from_correlation,
-)
-from .spectra import (
-    CavityParams,
-    GreenFunction,
-    green_finite_n,
-    landauer_transmission,
-    photon_green_function,
-    spectra_from_green,
-    spectra_harmonic,
-)
+from . import bathmap, core, spectra, susceptibility
+from .bathmap import *
+from .core import *
 from .fileio import TabulatedChi
+from .spectra import *
+from .susceptibility import *
 
 __version__ = "0.1.0"
 
+# each public name is declared once, in the __all__ of its module
 __all__ = [
-    "AccuracyWarning",
-    "BathMode",
-    "CavityParams",
-    "ComplexSpectrum",
-    "CorrelationFunction",
-    "DiscretizedBath",
-    "DisorderSpec",
-    "DisorderedTls",
-    "EffectiveTemperature",
-    "FrequencyGrid",
-    "GainWarning",
-    "GreenFunction",
-    "LineModel",
-    "MultilevelModel",
-    "NumericalError",
-    "RealSpectrum",
+    *core.__all__,
+    *susceptibility.__all__,
+    *bathmap.__all__,
+    *spectra.__all__,
     "TabulatedChi",
-    "TimeGrid",
-    "TlsEnsemble",
-    "TraSpectra",
-    "Transition",
-    "TransitionSet",
-    "ValidationError",
-    "VibronicModel",
-    "chi_disordered",
-    "chi_from_correlation",
-    "chi_from_spectral_density",
-    "chi_multilevel",
-    "chi_three_level",
-    "chi_tls_thermal",
-    "chi_vibronic",
-    "correlation_from_transitions",
-    "discretize_bath",
-    "effective_temperature",
-    "faddeeva",
-    "green_finite_n",
-    "landauer_transmission",
-    "local_maxima",
-    "make_grid",
-    "photon_green_function",
-    "reconstruct_correlation",
-    "spectra_from_green",
-    "spectra_harmonic",
-    "spectral_density_from_chi",
-    "spectral_density_from_correlation",
-    "thermal_factor",
-    "thermal_populations",
-    "three_level_transitions",
-    "tls_transitions",
-    "vibronic_transitions",
-    "with_mirror_transitions",
 ]

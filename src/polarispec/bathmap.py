@@ -10,27 +10,36 @@ function.  This module provides the pieces of that dictionary:
   directly from Im chi,
 * the frequency-resolved effective inverse temperature,
 * reconstruction of the correlation function from (density, temperature),
-* discretization of the density into a finite list of surrogate modes.
+* discretization of the density into a finite list of surrogate modes,
+* :func:`surrogate_bath`, the finite bath of a susceptibility on any grid.
 
 Conventions: hbar = 1; densities live on positive frequencies only; the
 two-sided extension C(-t) = conj(C(t)) of a stationary ensemble is used
 wherever an integral runs over all times.
+
+The surrogate bath therefore holds only the omega > 0 part of Im chi:
+:func:`surrogate_bath` keeps those samples on a grid of their own and
+warns (``AccuracyWarning``) when more than 5% of |Im chi| on the grid
+lies at omega <= 0, which the bath cannot hold.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    AccuracyWarning,
     FrequencyGrid,
     RealSpectrum,
     TimeGrid,
     ValidationError,
     _chirp_z,
     _trapezoid_weights,
+    make_grid,
 )
 from .susceptibility import (
     ComplexSpectrum,
@@ -51,6 +60,7 @@ __all__ = [
     "effective_temperature",
     "reconstruct_correlation",
     "discretize_bath",
+    "surrogate_bath",
 ]
 
 _INVERSION_MSG = (
@@ -255,21 +265,24 @@ def effective_temperature(
     omega = grid.points
     num = np.zeros(grid.n_points)
     den = np.zeros(grid.n_points)
+    kern, share = np.empty((2, grid.n_points))  # one line's Lorentzian, and its share
     for tr in ts:
-        kern = tr.weight * tr.gamma / (
-            (omega - tr.omega_zy) ** 2 + 0.25 * tr.gamma**2
-        )
-        num += tr.p_y * kern
-        den += tr.p_z * kern
+        np.subtract(omega, tr.omega_zy, out=kern)
+        np.square(kern, out=kern)
+        kern += 0.25 * tr.gamma**2
+        np.divide(tr.weight * tr.gamma, kern, out=kern)
+        num += np.multiply(kern, tr.p_y, out=share)
+        den += np.multiply(kern, tr.p_z, out=share)
 
-    vals = np.empty(grid.n_points)
+    # points without emission weight are set to +inf after the division
     dead = den < 1e-300
-    vals[dead] = math.inf
-    with np.errstate(divide="ignore"):
-        ratio = num[~dead] / den[~dead]
-    if np.any(ratio < 1.0 - 1e-10):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.divide(num, den, out=num)
+    if ((ratio < 1.0 - 1e-10) & ~dead).any():
         raise ValidationError(_INVERSION_MSG)
-    vals[~dead] = np.log(np.maximum(ratio, 1.0)) / omega[~dead]
+    vals = np.log(np.maximum(ratio, 1.0, out=ratio), out=ratio)
+    vals /= omega
+    vals[dead] = math.inf
     return EffectiveTemperature(grid, vals)
 
 
@@ -365,3 +378,43 @@ def discretize_bath(
         BathMode(float(m), float(math.sqrt(max(c2, 0.0))), float(gamma_mode))
         for m, c2 in zip(mids, coupling_sq)
     )
+
+
+def _positive_grid(grid: FrequencyGrid) -> FrequencyGrid | None:
+    """The grid's points above zero as a grid of their own; None if fewer than two."""
+    pos = grid.points[grid.points > 0]
+    if pos.size < 2:
+        return None
+    return make_grid(float(pos[0]), float(pos[-1]), pos.size)
+
+
+# share of |Im chi| at omega <= 0, missing from the bath, above which it warns
+_DROPPED_WEIGHT_WARN = 0.05
+
+
+def surrogate_bath(
+    chi: ComplexSpectrum, n_modes: int, gamma_mode: float | None = None
+) -> DiscretizedBath:
+    """Finite surrogate bath of a susceptibility sampled on any grid.
+
+    The omega > 0 samples of ``chi``, on a grid of their own, give the
+    coupling density Im chi, which :func:`discretize_bath` splits into
+    ``n_modes`` modes.  Warns (``AccuracyWarning``) when more than 5% of
+    |Im chi| lies at omega <= 0, which the bath leaves out.
+    """
+    pos_grid = _positive_grid(chi.grid)
+    if pos_grid is None:
+        raise ValidationError("finite_n needs positive frequencies in the scenario grid")
+    pos = chi.grid.points > 0
+    weight = np.abs(chi.values.imag)
+    total = weight.sum()
+    dropped = weight[~pos].sum() / total if total > 0 else 0.0
+    if dropped > _DROPPED_WEIGHT_WARN:
+        warnings.warn(
+            f"finite_n drops {dropped:.1%} of the absorption weight (|Im chi| at "
+            "omega <= 0): the surrogate bath is built from omega > 0 only",
+            AccuracyWarning,
+            stacklevel=2,
+        )
+    J = spectral_density_from_chi(ComplexSpectrum(pos_grid, chi.values[pos]))
+    return discretize_bath(J, n_modes, gamma_mode)

@@ -15,11 +15,9 @@ Model kinds: ``tls``, ``disordered_tls`` (adds a ``disorder`` object),
 ``vibronic``, ``multilevel`` (exactly three levels), ``tabulated_chi``
 (``path`` to a chi CSV, or null for an empty cavity).  ``method`` is
 either the string ``"harmonic"`` or ``{"kind": "finite_n", "n_modes": M}``
-with an optional ``gamma_mode``; ``finite_n`` builds its surrogate bath
-from Im chi at omega > 0 and warns (``AccuracyWarning``) when more than
-5% of |Im chi| on the grid lies at omega <= 0, which the bath cannot
-hold.  ``beta`` may be the string ``"inf"``
-since JSON has no infinity literal.  Unknown keys anywhere are hard
+with an optional ``gamma_mode``; ``finite_n`` takes its bath from
+:func:`polarispec.bathmap.surrogate_bath`.  ``beta`` may be the string
+``"inf"`` since JSON has no infinity literal.  Unknown keys anywhere are hard
 errors: a typo in a physics parameter must not silently fall back to a
 default.
 
@@ -42,23 +40,23 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import fileio
-from .bathmap import discretize_bath, effective_temperature, spectral_density_from_chi
+from .bathmap import (
+    _positive_grid,
+    effective_temperature,
+    spectral_density_from_chi,
+    surrogate_bath,
+)
 from .core import (
-    AccuracyWarning,
     ComplexSpectrum,
     FrequencyGrid,
     NumericalError,
     TraSpectra,
     ValidationError,
     local_maxima,
-    make_grid,
 )
 from .fileio import TabulatedChi
 from .spectra import (
@@ -400,41 +398,13 @@ def model_susceptibility(model, grid: FrequencyGrid) -> ComplexSpectrum:
 # Runners
 
 
-def _positive_grid(grid: FrequencyGrid) -> FrequencyGrid | None:
-    """The grid's points above zero as a grid of their own; None if fewer than two."""
-    pos = grid.points[grid.points > 0]
-    if pos.size < 2:
-        return None
-    return make_grid(float(pos[0]), float(pos[-1]), pos.size)
-
-
-# Share of |Im chi| at omega <= 0 above which a finite_n run warns: the
-# surrogate bath lives on omega > 0, so that weight is missing from it.
-_DROPPED_WEIGHT_WARN = 0.05
-
-
 def _compute(s: Scenario, chi: ComplexSpectrum | None = None) -> TraSpectra:
     """Spectra of the scenario; ``chi`` is the model's chi on ``s.grid`` if known."""
     if chi is None:
         chi = s.model.chi(s.grid)
     if s.method.kind == "harmonic":
         return spectra_harmonic(chi, s.cavity)
-    pos_grid = _positive_grid(s.grid)
-    if pos_grid is None:
-        raise ValidationError("finite_n needs positive frequencies in the scenario grid")
-    pos = s.grid.points > 0
-    weight = np.abs(chi.values.imag)
-    total = weight.sum()
-    dropped = weight[~pos].sum() / total if total > 0 else 0.0
-    if dropped > _DROPPED_WEIGHT_WARN:
-        warnings.warn(
-            f"finite_n drops {dropped:.1%} of the absorption weight (|Im chi| at "
-            "omega <= 0): the surrogate bath is built from omega > 0 only",
-            AccuracyWarning,
-            stacklevel=3,
-        )
-    J = spectral_density_from_chi(ComplexSpectrum(pos_grid, chi.values[pos]))
-    bath = discretize_bath(J, s.method.n_modes, s.method.gamma_mode)
+    bath = surrogate_bath(chi, s.method.n_modes, s.method.gamma_mode)
     return spectra_from_green(green_finite_n(bath, s.cavity, s.grid), s.cavity)
 
 

@@ -44,7 +44,6 @@ from .core import (
 
 __all__ = [
     "CavityParams",
-    "GreenFunction",
     "photon_green_function",
     "spectra_from_green",
     "spectra_harmonic",
@@ -79,24 +78,9 @@ class CavityParams:
         return self.kappa_L + self.kappa_R
 
 
-@dataclass(frozen=True)
-class GreenFunction:
-    """Retarded photon propagator sampled on a frequency grid."""
-
-    spectrum: ComplexSpectrum
-
-    @property
-    def grid(self) -> FrequencyGrid:
-        return self.spectrum.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.spectrum.values
-
-
 def photon_green_function(
     chi: ComplexSpectrum, cav: CavityParams
-) -> GreenFunction:
+) -> ComplexSpectrum:
     """Photon propagator dressed by the molecular response.
 
     D(w) = 1 / (w - omega_ph + i kappa/2 + chi(w)).  The denominator can
@@ -112,7 +96,7 @@ def photon_green_function(
             "photon propagator denominator vanishes "
             f"(min |den| = {small.min():.3e}); inputs are unphysical"
         )
-    return GreenFunction(ComplexSpectrum(chi.grid, 1.0 / den))
+    return ComplexSpectrum(chi.grid, 1.0 / den)
 
 
 def _assemble(grid, transmission, reflection, absorption) -> TraSpectra:
@@ -130,7 +114,7 @@ def _assemble(grid, transmission, reflection, absorption) -> TraSpectra:
     )
 
 
-def spectra_from_green(D: GreenFunction, cav: CavityParams) -> TraSpectra:
+def spectra_from_green(D: ComplexSpectrum, cav: CavityParams) -> TraSpectra:
     """Transmission, reflection and absorption from the photon propagator."""
     v = D.values
     mag2 = v.real**2 + v.imag**2
@@ -159,7 +143,7 @@ def spectra_harmonic(chi: ComplexSpectrum, cav: CavityParams) -> TraSpectra:
 
 def green_finite_n(
     bath: DiscretizedBath, cav: CavityParams, grid: FrequencyGrid
-) -> GreenFunction:
+) -> ComplexSpectrum:
     """Photon propagator of a finite surrogate bath.
 
     The photon element of (w - H)^-1 for the (1+M) x (1+M) arrowhead
@@ -176,7 +160,7 @@ def green_finite_n(
     return photon_green_function(bath.chi(grid), cav)
 
 
-def landauer_transmission(D: GreenFunction, cav: CavityParams) -> RealSpectrum:
+def landauer_transmission(D: ComplexSpectrum, cav: CavityParams) -> RealSpectrum:
     """Transmission as a transport trace through the photon port.
 
     With both port coupling matrices of rank one on the photon entry the

@@ -237,17 +237,13 @@ class VibronicModel(LineModel):
     m_max: int | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.n_emitters) and self.n_emitters > 0):
-            raise ValidationError("n_emitters must be > 0")
-        if not (np.isfinite(self.g) and self.g >= 0):
-            raise ValidationError("g must be >= 0")
+        # the electronic line's parameters are those of a two-level ensemble
+        TlsEnsemble(self.n_emitters, self.g, self.omega_exc, math.inf, self.gamma)
         if not (np.isfinite(self.omega_v) and self.omega_v > 0):
             raise ValidationError("omega_v must be > 0")
         if not (np.isfinite(self.huang_rhys) and self.huang_rhys >= 0):
             raise ValidationError("huang_rhys must be >= 0")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValidationError("gamma must be > 0")
-        if self.m_max is not None and self.m_max < 0:
+        if self.m_max is not None and not (np.isfinite(self.m_max) and self.m_max >= 0):
             raise ValidationError("m_max must be >= 0")
 
     def transitions(self) -> TransitionSet:
@@ -292,8 +288,10 @@ class MultilevelModel(LineModel):
     def __post_init__(self):
         if len(self.levels) < 2:
             raise ValidationError("need at least two levels")
+        if not all(np.isfinite(w) for w, _ in self.levels):
+            raise ValidationError("level energies must be finite")
         pops = np.array([p for _, p in self.levels])
-        if np.any(pops < 0) or np.any(pops > 1):
+        if not np.all((pops >= 0) & (pops <= 1)):
             raise ValidationError("populations must lie in [0, 1]")
         if abs(pops.sum() - 1.0) > 1e-12:
             raise ValidationError(
@@ -308,6 +306,8 @@ class MultilevelModel(LineModel):
                 raise ValidationError("dipole pair must connect distinct levels")
         if not (np.isfinite(self.n_emitters) and self.n_emitters > 0):
             raise ValidationError("n_emitters must be > 0")
+        if not np.isfinite(self.g_scale):
+            raise ValidationError("g_scale must be finite")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValidationError("gamma must be > 0")
 

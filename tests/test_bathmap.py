@@ -1,9 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from polarispec.core import RealSpectrum, TimeGrid, ValidationError, make_grid
+from polarispec.core import (
+    AccuracyWarning,
+    ComplexSpectrum,
+    RealSpectrum,
+    TimeGrid,
+    ValidationError,
+    make_grid,
+)
 from polarispec.bathmap import (
     BathMode,
     CorrelationFunction,
@@ -14,6 +22,7 @@ from polarispec.bathmap import (
     reconstruct_correlation,
     spectral_density_from_chi,
     spectral_density_from_correlation,
+    surrogate_bath,
 )
 from polarispec.susceptibility import (
     TlsEnsemble,
@@ -360,6 +369,39 @@ class TestDiscretizeBath:
         assert len(peaks) == 2
         split = peaks[-1][0] - peaks[0][0]
         assert split == pytest.approx(2.0 * coupling, rel=0.02)
+
+
+
+class TestSurrogateBath:
+    """The finite route's bath: Im chi at omega > 0, on a grid of its own."""
+
+    def test_rotating_frame_line_warns_with_dropped_share(self):
+        # fig2a: the line sits at omega = 0, so half of it is left out
+        chi = chi_tls_thermal(TlsEnsemble(1.0, 2.0, 0.0, math.inf, 0.3), make_grid(-4, 4, 4001))
+        with pytest.warns(AccuracyWarning, match=r"50\.2%"):
+            surrogate_bath(chi, 16)
+
+    def test_lab_frame_line_is_silent(self):
+        chi = chi_tls_thermal(TlsEnsemble(1.0, 1.0, 2.0, math.inf, 0.3), make_grid(-4, 8, 4001))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surrogate_bath(chi, 64)
+
+    @pytest.mark.parametrize("omega_max", [0.0, 0.5])  # no positive point, and one
+    def test_needs_two_positive_points(self, omega_max):
+        g = make_grid(omega_max - 4.0, omega_max, 9)
+        chi = ComplexSpectrum(g, np.full(g.n_points, -1j))
+        with pytest.raises(ValidationError, match="positive frequencies"):
+            surrogate_bath(chi, 4)
+
+    @pytest.mark.parametrize("gamma_mode", [None, 0.05])
+    def test_modes_equal_the_hand_built_bath(self, gamma_mode):
+        chi = chi_tls_thermal(TlsEnsemble(1.0, 1.0, 2.0, 1.5, 0.3), make_grid(-4, 8, 4001))
+        pos = chi.grid.points > 0
+        w = chi.grid.points[pos]
+        on_pos_grid = ComplexSpectrum(make_grid(w[0], w[-1], w.size), chi.values[pos])
+        by_hand = discretize_bath(spectral_density_from_chi(on_pos_grid), 64, gamma_mode)
+        assert surrogate_bath(chi, 64, gamma_mode).modes == by_hand.modes
 
 
 class TestContainers:

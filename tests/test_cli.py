@@ -615,3 +615,30 @@ class TestCsvFormats:
             assert target.read_text() == "old\n"
         else:
             assert not target.exists()
+
+
+class TestTabulatedChi:
+    """A table off the scenario grid is interpolated onto it, never extrapolated."""
+
+    def _table(self, tmp_path):
+        from polarispec.susceptibility import TlsEnsemble, chi_tls_thermal
+
+        table = chi_tls_thermal(TlsEnsemble(1.0, 1.0, 0.5, math.inf, 0.3), make_grid(-5, 5, 1601))
+        path = str(tmp_path / "chi.csv")
+        fileio.write_chi_csv(path, table)
+        return fileio.TabulatedChi(path), fileio.read_chi_csv(path)
+
+    def test_wider_finer_table_is_interpolated(self, tmp_path):
+        model, table = self._table(tmp_path)
+        grid = make_grid(-4, 4, 401)
+        chi = model.chi(grid)
+        assert chi.grid == grid
+        w, x = grid.points, table.grid.points
+        assert np.array_equal(chi.values.real, np.interp(w, x, table.values.real))
+        assert np.array_equal(chi.values.imag, np.interp(w, x, table.values.imag))
+
+    @pytest.mark.parametrize("bounds", [(-6.0, 4.0), (-4.0, 5.5)])
+    def test_grid_beyond_the_table_is_rejected(self, tmp_path, bounds):
+        model, _ = self._table(tmp_path)
+        with pytest.raises(ValidationError, match="beyond the tabulated susceptibility"):
+            model.chi(make_grid(*bounds, 401))

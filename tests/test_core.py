@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from polarispec.cli import parse_scenario, preset_config, preset_names, run_scenario
@@ -197,7 +197,7 @@ def _walk_maxima(s, min_prominence=None):
     v = s.values
     omega = s.grid.points
     if min_prominence is None:
-        min_prominence = 1e-3 * v.max()
+        min_prominence = 1e-3 * np.abs(v).max()
     peaks = []
     n = v.size
     starts = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])) + 1
@@ -232,6 +232,8 @@ _PROMINENCES = st.sampled_from([None, 0.0, -1.0, 1.0, 2.0])
 class TestLocalMaximaMatchesWalk:
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(vals=st.one_of(_TIED, _FLOATS), prominence=_PROMINENCES)
+    # both peaks' prominences (2 and 1) lie between 1e-3 max(v) and 1e-3 max|v|
+    @example(vals=[-1e6, 5.0, 3.0, 4.0, -1e6], prominence=None)
     def test_same_peaks_as_the_walk(self, vals, prominence):
         g = make_grid(0, len(vals) - 1, len(vals))
         s = RealSpectrum(g, np.array(vals))

@@ -302,6 +302,45 @@ class TestChiThreeLevel:
             chi_three_level(m, g)
 
 
+
+_NAN, _INF = math.nan, math.inf
+
+
+class TestModelsRejectNonFiniteParameters:
+    """A NaN from a config (json.load accepts it) is refused when the model is built."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((_NAN, 1.0, 0.0, 0.3, 3.0, 0.1), "n_emitters"),
+            ((1.0, _NAN, 0.0, 0.3, 3.0, 0.1), "g must"),
+            ((1.0, 1.0, _NAN, 0.3, 3.0, 0.1), "omega_exc must be finite"),
+            ((1.0, 1.0, _INF, 0.3, 3.0, 0.1), "omega_exc must be finite"),
+            ((1.0, 1.0, 0.0, _NAN, 3.0, 0.1), "omega_v"),
+            ((1.0, 1.0, 0.0, 0.3, _NAN, 0.1), "huang_rhys"),
+            ((1.0, 1.0, 0.0, 0.3, 3.0, _NAN), "gamma"),
+            ((1.0, 1.0, 0.0, 0.3, 3.0, 0.1, _NAN), "m_max"),
+        ],
+    )
+    def test_vibronic(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            VibronicModel(*args)
+
+    @pytest.mark.parametrize(
+        "levels, g_scale, message",
+        [
+            ([(0.0, 0.7), (_NAN, 0.2), (3.0, 0.1)], 1.0, "level energies must be finite"),
+            ([(0.0, 0.7), (1.0, 0.2), (_INF, 0.1)], 1.0, "level energies must be finite"),
+            ([(0.0, 0.7), (1.0, _NAN), (3.0, 0.1)], 1.0, "populations"),
+            ([(0.0, 0.7), (1.0, 0.2), (3.0, 0.1)], _NAN, "g_scale must be finite"),
+            ([(0.0, 0.7), (1.0, 0.2), (3.0, 0.1)], _INF, "g_scale must be finite"),
+        ],
+    )
+    def test_multilevel(self, levels, g_scale, message):
+        with pytest.raises(ValidationError, match=message):
+            MultilevelModel(levels, [(1, 2, 1.0), (2, 3, 1.0)], 1.0, g_scale, 0.3)
+
+
 class TestChiFromSpectralDensity:
     def test_zero_density_gives_zero(self):
         g = make_grid(0, 5, 101)
