@@ -13,6 +13,10 @@ function.  This module provides the pieces of that dictionary:
 * discretization of the density into a finite list of surrogate modes,
 * :func:`surrogate_bath`, the finite bath of a susceptibility on any grid.
 
+A bath holds its modes as three read-only arrays (frequency, coupling,
+linewidth), which :func:`discretize_bath` fills directly; a
+:class:`BathMode` record is the view of one mode.
+
 Conventions: hbar = 1; densities live on positive frequencies only; the
 two-sided extension C(-t) = conj(C(t)) of a stationary ensemble is used
 wherever an integral runs over all times.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,13 +43,15 @@ from .core import (
     TimeGrid,
     ValidationError,
     _chirp_z,
+    _Columns,
+    _readonly,
+    _Record,
     _trapezoid_weights,
     make_grid,
 )
 from .susceptibility import (
     ComplexSpectrum,
     LineModel,
-    Transition,
     TransitionSet,
     _correlation_fourier,
 )
@@ -92,9 +99,7 @@ class CorrelationFunction:
             raise ValidationError("C(0) must have a nonnegative real part")
         if peak > 0 and np.abs(v).max() > peak * (1.0 + 1e-6):
             raise ValidationError("|C(t)| must not exceed C(0)")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _readonly(v))
 
 
 @dataclass(frozen=True)
@@ -117,48 +122,52 @@ class EffectiveTemperature:
             raise ValidationError("need one value per grid point")
         if np.isnan(v).any() or np.any(v < 0):
             raise ValidationError("beta_eff must be >= 0 (or +inf)")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _readonly(v))
 
 
 @dataclass(frozen=True)
-class BathMode:
+class BathMode(_Record):
     """One surrogate oscillator: frequency, coupling, linewidth."""
 
     omega: float
     coupling: float
     gamma: float
 
-    def __post_init__(self):
-        if not (np.isfinite(self.omega) and self.omega > 0):
+    @staticmethod
+    def check(omega, coupling, gamma) -> None:
+        """Raise ValidationError unless the float arrays hold valid modes, at least one."""
+        if omega.size == 0:
+            raise ValidationError("bath needs at least one mode")
+        if not (np.isfinite(omega) & (omega > 0)).all():
             raise ValidationError("mode frequency must be > 0")
-        if not (np.isfinite(self.coupling) and self.coupling >= 0):
+        if not (np.isfinite(coupling) & (coupling >= 0)).all():
             raise ValidationError("mode coupling must be >= 0")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
+        if not (np.isfinite(gamma) & (gamma > 0)).all():
             raise ValidationError("mode linewidth must be > 0")
 
 
-@dataclass(frozen=True)
-class DiscretizedBath(LineModel):
-    """Finite surrogate bath; couplings are stored real and nonnegative."""
+class DiscretizedBath(_Columns, LineModel):
+    """Finite surrogate bath as read-only float64 arrays; couplings are real, >= 0.
 
-    modes: tuple[BathMode, ...]
+    One array per :class:`BathMode` field, under the field's name, built
+    from records (``DiscretizedBath([BathMode(...), ...])``) or from arrays
+    (``DiscretizedBath.from_arrays(omega, coupling, gamma)``) and validated
+    once by :meth:`BathMode.check`.  ``modes`` and iteration give the modes
+    back as records.
+    """
 
-    def __init__(self, modes):
-        object.__setattr__(self, "modes", tuple(modes))
-        if not self.modes:
-            raise ValidationError("bath needs at least one mode")
+    record = BathMode
+    modes = property(tuple, doc="The modes as a tuple of BathMode records.")
 
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def __iter__(self):
-        return iter(self.modes)
+    @cached_property
+    def _weight(self) -> np.ndarray:
+        # g**2 of a Python float is libm pow(g, 2.0), which for some g is one
+        # ulp off g*g; the weights keep the rounding they have always had
+        return _readonly([g**2 for g in self.coupling.tolist()])
 
     @property
     def total_coupling_sq(self) -> float:
-        return float(sum(m.coupling**2 for m in self.modes))
+        return float(sum(self._weight.tolist()))
 
     def transitions(self) -> TransitionSet:
         """The bath as a transition set, one fully absorbing line per mode.
@@ -169,8 +178,9 @@ class DiscretizedBath(LineModel):
         -sum_k g_k**2 / (w - omega_k + i gamma_k/2), which is what
         :meth:`chi` returns.
         """
-        return TransitionSet(
-            Transition(m.omega, m.coupling**2, 1.0, 0.0, m.gamma) for m in self.modes
+        n = len(self)
+        return TransitionSet.from_arrays(
+            self.omega, self._weight, np.ones(n), np.zeros(n), self.gamma
         )
 
 
@@ -192,10 +202,8 @@ def correlation_from_transitions(
         raise ValidationError("transition set is empty")
     t = tg.times
     vals = np.zeros(t.size, dtype=complex)
-    for tr in ts:
-        vals += (tr.p_y * tr.weight) * np.exp(
-            (-1j * tr.omega_zy - 0.5 * tr.gamma) * t
-        )
+    for w0, wt, p_y, g in zip(*(a.tolist() for a in (ts.omega_zy, ts.weight, ts.p_y, ts.gamma))):
+        vals += (p_y * wt) * np.exp((-1j * w0 - 0.5 * g) * t)
     return CorrelationFunction(tg, vals)
 
 
@@ -256,23 +264,23 @@ def effective_temperature(
         raise ValidationError("transition set is empty")
     if grid.omega_min <= 0:
         raise ValidationError("effective temperature needs a positive grid")
-    for tr in ts:
-        if tr.omega_zy < 0:
-            raise ValidationError(
-                "effective_temperature expects uphill transitions only; "
-                "emission weights are taken from p_z"
-            )
+    if (ts.omega_zy < 0).any():
+        raise ValidationError(
+            "effective_temperature expects uphill transitions only; "
+            "emission weights are taken from p_z"
+        )
     omega = grid.points
     num = np.zeros(grid.n_points)
     den = np.zeros(grid.n_points)
     kern, share = np.empty((2, grid.n_points))  # one line's Lorentzian, and its share
-    for tr in ts:
-        np.subtract(omega, tr.omega_zy, out=kern)
+    lines = (ts.omega_zy, ts.weight, ts.p_y, ts.p_z, ts.gamma)
+    for w0, wt, p_y, p_z, g in zip(*(a.tolist() for a in lines)):
+        np.subtract(omega, w0, out=kern)
         np.square(kern, out=kern)
-        kern += 0.25 * tr.gamma**2
-        np.divide(tr.weight * tr.gamma, kern, out=kern)
-        num += np.multiply(kern, tr.p_y, out=share)
-        den += np.multiply(kern, tr.p_z, out=share)
+        kern += 0.25 * g**2
+        np.divide(wt * g, kern, out=kern)
+        num += np.multiply(kern, p_y, out=share)
+        den += np.multiply(kern, p_z, out=share)
 
     # points without emission weight are set to +inf after the division
     dead = den < 1e-300
@@ -374,9 +382,8 @@ def discretize_bath(
         gamma_mode = (hi - lo) / n_modes
     if not (np.isfinite(gamma_mode) and gamma_mode > 0):
         raise ValidationError("gamma_mode must be > 0")
-    return DiscretizedBath(
-        BathMode(float(m), float(math.sqrt(max(c2, 0.0))), float(gamma_mode))
-        for m, c2 in zip(mids, coupling_sq)
+    return DiscretizedBath.from_arrays(
+        mids, np.sqrt(np.maximum(coupling_sq, 0.0)), np.full(n_modes, float(gamma_mode))
     )
 
 

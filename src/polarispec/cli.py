@@ -473,7 +473,7 @@ def export_bundle(s: Scenario, outdir: str) -> list[str]:
     pos_grid = _positive_grid(s.grid)
     if ts is None:
         omitted = "model has no transition data"
-    elif any(t.omega_zy < 0 for t in ts):
+    elif (ts.omega_zy < 0).any():
         omitted = "model has transitions below omega = 0"
     elif pos_grid is None:
         omitted = "grid has fewer than two positive frequencies"

@@ -15,7 +15,7 @@ ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -54,6 +54,56 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.flags.writeable = False
     return a
+
+
+class _Record:
+    """Frozen dataclass validated by ``check(*columns)``, one float array per field."""
+
+    def __post_init__(self):
+        self.check(*np.array(astuple(self), dtype=float).reshape(-1, 1))
+
+
+class _Columns:
+    """Records of the type ``record`` held as one read-only float64 array per field.
+
+    ``cls(records)`` and ``cls.from_arrays(*arrays)`` (in field order) store
+    the same arrays, validated once by ``record.check``, under the field
+    names; iteration yields the records again.  Instances are immutable.
+    """
+
+    def __init__(self, records=()):
+        names = [f.name for f in fields(self.record)]
+        rows = [[getattr(r, n) for n in names] for r in records]
+        self._store(np.array(rows, dtype=float).reshape(-1, len(names)).T)
+
+    @classmethod
+    def from_arrays(cls, *arrays):
+        """The set with ``arrays`` (copied) as its fields, in field order."""
+        obj = cls.__new__(cls)
+        obj._store(arrays)
+        return obj
+
+    def _store(self, arrays) -> None:
+        names = [f.name for f in fields(self.record)]
+        cols = [_readonly(np.asarray(a, dtype=float)) for a in arrays]
+        if len(cols) != len(names) or any(c.ndim != 1 or c.shape != cols[0].shape for c in cols):
+            raise ValidationError(f"need one 1-D array of one length per field {names}")
+        self.record.check(*cols)
+        self.__dict__.update(zip(names, cols))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __len__(self) -> int:
+        return getattr(self, fields(self.record)[0].name).size
+
+    def __iter__(self):
+        # the columns passed the check already, so the records skip __post_init__
+        names = [f.name for f in fields(self.record)]
+        for row in zip(*(getattr(self, n).tolist() for n in names)):
+            record = object.__new__(self.record)
+            record.__dict__.update(zip(names, row))
+            yield record
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ from .core import (
     RealSpectrum,
     ValidationError,
     _chirp_z,
+    _Columns,
+    _Record,
     _trapezoid_weights,
 )
 
@@ -56,7 +58,6 @@ __all__ = [
     "thermal_populations",
     "tls_transitions",
     "vibronic_transitions",
-    "three_level_transitions",
     "with_mirror_transitions",
     "chi_multilevel",
     "chi_tls_thermal",
@@ -74,7 +75,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Transition:
+class Transition(_Record):
     """One dipole-allowed transition between stationary states.
 
     ``omega_zy`` is the (signed) transition frequency, ``weight`` the
@@ -89,32 +90,33 @@ class Transition:
     p_z: float
     gamma: float
 
-    def __post_init__(self):
-        if not np.isfinite(self.omega_zy):
+    @staticmethod
+    def check(omega_zy, weight, p_y, p_z, gamma) -> None:
+        """Raise ValidationError unless every line of the float arrays is valid."""
+        if not np.isfinite(omega_zy).all():
             raise ValidationError("transition frequency must be finite")
-        if not (np.isfinite(self.weight) and self.weight >= 0):
+        if not (np.isfinite(weight) & (weight >= 0)).all():
             raise ValidationError("transition weight must be >= 0")
-        for name, p in (("p_y", self.p_y), ("p_z", self.p_z)):
-            if not (0.0 <= p <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {p}")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
+        for name, p in (("p_y", p_y), ("p_z", p_z)):
+            bad = ~((p >= 0) & (p <= 1))
+            if bad.any():
+                raise ValidationError(f"{name} must lie in [0, 1], got {p[bad][0]}")
+        if not (np.isfinite(gamma) & (gamma > 0)).all():
             raise ValidationError("gamma must be > 0")
 
 
-@dataclass(frozen=True)
-class TransitionSet:
-    """Ordered collection of transitions; order fixes summation order."""
+class TransitionSet(_Columns):
+    """Ordered lines as read-only float64 arrays; order fixes summation order.
 
-    transitions: tuple[Transition, ...]
+    One array per :class:`Transition` field, under the field's name, built
+    from records (``TransitionSet([Transition(...), ...])``) or from arrays
+    (``TransitionSet.from_arrays(omega_zy, weight, p_y, p_z, gamma)``) and
+    validated once by :meth:`Transition.check`.  ``transitions`` and
+    iteration give the lines back as records.
+    """
 
-    def __init__(self, transitions):
-        object.__setattr__(self, "transitions", tuple(transitions))
-
-    def __len__(self) -> int:
-        return len(self.transitions)
-
-    def __iter__(self):
-        return iter(self.transitions)
+    record = Transition
+    transitions = property(tuple, doc="The lines as a tuple of Transition records.")
 
 
 class LineModel:
@@ -165,7 +167,7 @@ class TlsEnsemble(LineModel):
         """Single uphill transition of a thermal two-level ensemble."""
         p_g, p_e = thermal_populations(self.beta, self.omega_exc)
         ngg = self.collective_coupling_sq
-        return TransitionSet([Transition(self.omega_exc, ngg, p_g, p_e, self.gamma)])
+        return TransitionSet.from_arrays([self.omega_exc], [ngg], [p_g], [p_e], [self.gamma])
 
     def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
         """The closed form :func:`chi_tls_thermal`, not the pole sum."""
@@ -243,19 +245,20 @@ class VibronicModel(LineModel):
             raise ValidationError("omega_v must be > 0")
         if not (np.isfinite(self.huang_rhys) and self.huang_rhys >= 0):
             raise ValidationError("huang_rhys must be >= 0")
-        if self.m_max is not None and not (np.isfinite(self.m_max) and self.m_max >= 0):
-            raise ValidationError("m_max must be >= 0")
+        if self.m_max is not None and not (
+            isinstance(self.m_max, (int, np.integer)) and self.m_max >= 0
+        ):
+            raise ValidationError(f"m_max must be an integer >= 0, got {self.m_max!r}")
 
     def transitions(self) -> TransitionSet:
         """Franck-Condon progression as a transition set (zero temperature)."""
         weights = _franck_condon_weights(self.huang_rhys, self.m_max)
         base = self.omega_exc - self.huang_rhys * self.omega_v
         ngg = self.n_emitters * self.g**2
-        return TransitionSet(
-            [
-                Transition(base + k * self.omega_v, ngg * w, 1.0, 0.0, self.gamma)
-                for k, w in enumerate(weights)
-            ]
+        n = weights.size
+        return TransitionSet.from_arrays(
+            base + np.arange(n) * self.omega_v, ngg * weights, np.ones(n), np.zeros(n),
+            np.full(n, self.gamma),
         )
 
 
@@ -324,16 +327,15 @@ class MultilevelModel(LineModel):
             if omega_zy <= 0:
                 # builders stay in the rotating-wave sector; list pairs low-high
                 continue
-            transitions.append(Transition(omega_zy, scale * amp**2, p_y, p_z, self.gamma))
+            transitions.append((omega_zy, scale * amp**2, p_y, p_z, self.gamma))
         if not transitions:
             raise ValidationError("no uphill transition found in dipole list")
-        return TransitionSet(transitions)
+        return TransitionSet.from_arrays(*zip(*transitions))
 
 
 # the transition builders and line-model chi under their function names
 tls_transitions = TlsEnsemble.transitions
 vibronic_transitions = VibronicModel.transitions
-three_level_transitions = MultilevelModel.transitions
 chi_vibronic = chi_three_level = LineModel.chi
 
 
@@ -367,8 +369,9 @@ def with_mirror_transitions(ts: TransitionSet) -> TransitionSet:
     The mirrored set is what enters two-sided quantities such as the
     dipole correlation function of a stationary ensemble.
     """
-    mirrors = (Transition(-t.omega_zy, t.weight, t.p_z, t.p_y, t.gamma) for t in ts)
-    return TransitionSet([*ts, *mirrors])
+    lines = ts.omega_zy, ts.weight, ts.p_y, ts.p_z, ts.gamma
+    mirrors = -ts.omega_zy, ts.weight, ts.p_z, ts.p_y, ts.gamma
+    return TransitionSet.from_arrays(*map(np.concatenate, zip(lines, mirrors)))
 
 
 def _franck_condon_weights(s: float, m_max: int | None) -> np.ndarray:
@@ -426,7 +429,8 @@ def chi_multilevel(ts: TransitionSet, grid: FrequencyGrid) -> ComplexSpectrum:
     """
     if len(ts) == 0:
         raise ValidationError("transition set is empty")
-    poles = ((t.omega_zy, t.gamma, (t.p_y - t.p_z) * t.weight) for t in ts)
+    strength = (ts.p_y - ts.p_z) * ts.weight
+    poles = zip(ts.omega_zy.tolist(), ts.gamma.tolist(), strength.tolist())
     return ComplexSpectrum(grid, _pole_sum(grid.points, poles))
 
 

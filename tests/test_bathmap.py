@@ -420,3 +420,92 @@ class TestContainers:
             BathMode(1.0, 0.5, 0.0)
         with pytest.raises(ValidationError):
             DiscretizedBath([])
+
+
+def _modes_one_at_a_time(J, n_modes, gamma_mode=None):
+    """discretize_bath's modes built as BathMode records, one per bin: the reference."""
+    omega, jv = J.grid.points, J.values
+    nz = np.nonzero(jv > 0)[0]
+    lo, hi = omega[nz[0]], omega[nz[-1]]
+    dx = J.grid.spacing
+    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * dx * (jv[1:] + jv[:-1]))))
+    edges = np.linspace(lo, hi, n_modes + 1)
+    cum_at_edges = np.interp(edges, omega, cumulative)
+    cum_at_edges[0], cum_at_edges[-1] = 0.0, cumulative[-1]
+    coupling_sq = np.diff(cum_at_edges) / math.pi
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    gamma = (hi - lo) / n_modes if gamma_mode is None else gamma_mode
+    return tuple(
+        BathMode(float(m), float(math.sqrt(max(c2, 0.0))), float(gamma))
+        for m, c2 in zip(mids, coupling_sq)
+    )
+
+
+def _lab_tls_chi():
+    return chi_tls_thermal(TlsEnsemble(1.0, 1.0, 2.0, math.inf, 0.3), make_grid(-4.0, 8.0, 4001))
+
+
+_MODE_FIELDS = ("omega", "coupling", "gamma")
+_VALID_MODE = {"omega": 1.0, "coupling": 0.5, "gamma": 0.1}
+
+
+class TestBathArrays:
+    """A bath holds one read-only float64 array per BathMode field."""
+
+    @pytest.mark.parametrize("n_modes, gamma_mode", [(1, None), (7, None), (64, 0.05), (256, None)])
+    def test_discretized_modes_equal_the_records_built_one_at_a_time(self, n_modes, gamma_mode):
+        pos = make_grid(0.003, 8.0, 2667)
+        for J in (
+            spectral_density_from_chi(chi_tls_thermal(TlsEnsemble(1.0, 1.0, 2.0, math.inf, 0.3), pos)),
+            RealSpectrum(pos, np.where((pos.points > 1) & (pos.points < 7), np.sin(pos.points) ** 2, 0.0)),
+        ):
+            bath = discretize_bath(J, n_modes, gamma_mode)
+            assert bath.modes == _modes_one_at_a_time(J, n_modes, gamma_mode)
+
+    def test_weights_are_the_python_squares_of_the_couplings(self):
+        # Python's g**2 is libm pow(g, 2.0); with glibc, one of these 256
+        # couplings has pow(g, 2.0) != g*g, and the outputs keep pow's value
+        bath = surrogate_bath(_lab_tls_chi(), 256)
+        assert bath.transitions().weight.tolist() == [m.coupling**2 for m in bath.modes]
+        assert bath.total_coupling_sq == sum(m.coupling**2 for m in bath.modes)
+
+    def test_transitions_are_absorbing_lines_at_the_modes(self):
+        bath = surrogate_bath(_lab_tls_chi(), 16)
+        expected = tuple(Transition(m.omega, m.coupling**2, 1.0, 0.0, m.gamma) for m in bath.modes)
+        assert bath.transitions().transitions == expected
+
+    def test_records_and_arrays_build_the_same_bath(self):
+        bath = surrogate_bath(_lab_tls_chi(), 32)
+        rebuilt = DiscretizedBath(bath.modes)
+        for f in _MODE_FIELDS:
+            assert np.array_equal(getattr(rebuilt, f), getattr(bath, f))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(bath, f)[0] = 1.0
+            with pytest.raises(AttributeError):
+                setattr(bath, f, np.ones(32))
+        assert len(rebuilt) == len(bath) == 32
+        assert DiscretizedBath(bath.modes[:7] + bath.modes[8:]).modes == bath.modes[:7] + bath.modes[8:]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("omega", math.nan, "mode frequency must be > 0"),
+            ("omega", -1.0, "mode frequency must be > 0"),
+            ("coupling", -0.5, "mode coupling must be >= 0"),
+            ("coupling", math.inf, "mode coupling must be >= 0"),
+            ("gamma", 0.0, "mode linewidth must be > 0"),
+        ],
+    )
+    def test_invalid_field_gives_the_same_message_on_both_paths(self, field, value, message):
+        with pytest.raises(ValidationError) as record_error:
+            BathMode(**dict(_VALID_MODE, **{field: value}))
+        columns = {f: [v, v] for f, v in _VALID_MODE.items()}
+        columns[field] = [_VALID_MODE[field], value]
+        with pytest.raises(ValidationError) as array_error:
+            DiscretizedBath.from_arrays(*(columns[f] for f in _MODE_FIELDS))
+        assert str(record_error.value) == str(array_error.value) == message
+
+    def test_empty_bath_rejected_on_both_paths(self):
+        for build in (lambda: DiscretizedBath([]), lambda: DiscretizedBath.from_arrays([], [], [])):
+            with pytest.raises(ValidationError, match="at least one mode"):
+                build()

@@ -340,6 +340,113 @@ class TestModelsRejectNonFiniteParameters:
         with pytest.raises(ValidationError, match=message):
             MultilevelModel(levels, [(1, 2, 1.0), (2, 3, 1.0)], 1.0, g_scale, 0.3)
 
+    @pytest.mark.parametrize("m_max", [2.5, -0.0, 2.0, -1, "3"])
+    def test_vibronic_m_max_must_be_a_nonnegative_integer(self, m_max):
+        # 2.5 and -0.0 used to pass here and fail later inside np.empty
+        with pytest.raises(ValidationError, match="m_max must be an integer >= 0"):
+            VibronicModel(1.0, 1.0, 2.0, 0.2, 0.5, 0.1, m_max=m_max)
+
+    def test_vibronic_m_max_accepts_numpy_integers(self):
+        capped = VibronicModel(1.0, 1.0, 2.0, 0.2, 0.5, 0.1, m_max=np.int64(2))
+        assert len(capped.transitions()) == 3
+
+
+_FIELDS = ("omega_zy", "weight", "p_y", "p_z", "gamma")
+_TRANSITIONS = st.lists(
+    st.builds(
+        Transition,
+        omega_zy=st.floats(-5.0, 5.0),
+        weight=st.floats(0.0, 3.0),
+        p_y=st.floats(0.0, 1.0),
+        p_z=st.floats(0.0, 1.0),
+        gamma=st.floats(0.01, 2.0),
+    ),
+    min_size=1,
+    max_size=8,
+)
+_VALID_LINE = {"omega_zy": 1.0, "weight": 0.5, "p_y": 0.9, "p_z": 0.1, "gamma": 0.3}
+
+
+class TestTransitionSetArrays:
+    """A set holds one read-only float64 array per Transition field."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(lines=_TRANSITIONS)
+    def test_records_and_arrays_build_the_same_set(self, lines):
+        by_records = TransitionSet(lines)
+        by_arrays = TransitionSet.from_arrays(*([getattr(t, f) for t in lines] for f in _FIELDS))
+        for f in _FIELDS:
+            a, b = getattr(by_records, f), getattr(by_arrays, f)
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a, b)
+        assert by_records.transitions == by_arrays.transitions == tuple(lines)
+        assert list(by_arrays) == lines and len(by_arrays) == len(lines)
+        g = make_grid(-6.0, 6.0, 301)
+        chi = chi_multilevel(by_records, g).values
+        assert np.array_equal(chi, chi_multilevel(by_arrays, g).values)
+        # the pole sum of the records, one line at a time in Python floats
+        ref = np.zeros(g.n_points, dtype=complex)
+        for t in lines:
+            ref -= ((t.p_y - t.p_z) * t.weight) / (g.points - t.omega_zy + 0.5j * t.gamma)
+        assert np.array_equal(chi, ref)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("omega_zy", math.nan, "transition frequency must be finite"),
+            ("omega_zy", -math.inf, "transition frequency must be finite"),
+            ("weight", -0.5, "transition weight must be >= 0"),
+            ("weight", math.nan, "transition weight must be >= 0"),
+            ("p_y", 1.5, "p_y must lie in [0, 1], got 1.5"),
+            ("p_z", -0.25, "p_z must lie in [0, 1], got -0.25"),
+            ("p_y", math.nan, "p_y must lie in [0, 1], got nan"),
+            ("gamma", 0.0, "gamma must be > 0"),
+            ("gamma", math.inf, "gamma must be > 0"),
+        ],
+    )
+    def test_invalid_field_gives_the_same_message_on_both_paths(self, field, value, message):
+        with pytest.raises(ValidationError) as record_error:
+            Transition(**dict(_VALID_LINE, **{field: value}))
+        columns = {f: [v, v] for f, v in _VALID_LINE.items()}
+        columns[field] = [_VALID_LINE[field], value]  # the second line is the bad one
+        with pytest.raises(ValidationError) as array_error:
+            TransitionSet.from_arrays(*(columns[f] for f in _FIELDS))
+        assert str(record_error.value) == str(array_error.value) == message
+
+    @pytest.mark.parametrize(
+        "columns",
+        [([1.0, 2.0], [0.5], [0.9], [0.1], [0.3]), ([1.0], [0.5], [0.9], [0.1]), ([[1.0]],) * 5],
+    )
+    def test_arrays_need_one_equal_length_1d_column_per_field(self, columns):
+        with pytest.raises(ValidationError, match="one 1-D array of one length per field"):
+            TransitionSet.from_arrays(*columns)
+
+    def test_arrays_are_read_only_copies(self):
+        source = [np.array([1.0, -2.0]), np.array([0.5, 0.4]), np.array([0.9, 0.8]),
+                  np.array([0.1, 0.2]), np.array([0.3, 0.3])]
+        ts = TransitionSet.from_arrays(*source)
+        source[0][0] = 7.0
+        assert ts.omega_zy[0] == 1.0
+        for built in (ts, TransitionSet(ts.transitions)):
+            for f in _FIELDS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(built, f)[0] = 0.0
+                with pytest.raises(AttributeError):
+                    setattr(built, f, np.zeros(2))
+
+    def test_empty_set_is_empty(self):
+        assert len(TransitionSet([])) == 0
+        assert TransitionSet([]).transitions == ()
+
+    def test_mirror_keeps_the_lines_then_their_mirrors_in_order(self):
+        lines = [
+            Transition(2.0, 1.0, 0.8, 0.2, 0.5),
+            Transition(-1.0, 0.3, 0.6, 0.1, 0.2),
+            Transition(3.5, 0.6, 0.9, 0.1, 0.4),
+        ]
+        mirrors = [Transition(-t.omega_zy, t.weight, t.p_z, t.p_y, t.gamma) for t in lines]
+        assert with_mirror_transitions(TransitionSet(lines)).transitions == (*lines, *mirrors)
+
 
 class TestChiFromSpectralDensity:
     def test_zero_density_gives_zero(self):
