@@ -15,7 +15,7 @@ ever built.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,7 +60,8 @@ class _Record:
     """Frozen dataclass validated by ``check(*columns)``, one float array per field."""
 
     def __post_init__(self):
-        self.check(*np.array(astuple(self), dtype=float).reshape(-1, 1))
+        values = [getattr(self, f.name) for f in fields(self)]
+        self.check(*np.array(values, dtype=float).reshape(-1, 1))
 
 
 class _Columns:

@@ -5,19 +5,21 @@ interpolated onto the requested grid (here, not in ``susceptibility``,
 which cannot import this module).
 
 All CSV output uses 17 significant digits (``%.16e``), which round-trips
-float64 exactly.  Rows are formatted by one ``%`` over a repeated row
-template and streamed in fixed blocks of ``_BLOCK_ROWS`` rows, so a
-large grid never holds its whole text in memory; CPython's correctly
-rounded ``%.16e`` itself, about 1 us per number, is the floor of this
-format.  Every file is written atomically (temp file in the target
-directory, then rename) so partially written files never appear under
-the final name.  Headers are fixed strings; readers validate them
-byte-for-byte so column mixups fail loudly.
+float64 exactly.  Rows are streamed in blocks of ``_BLOCK_ROWS`` rows and
+formatted by :func:`_format_block`, an exact vectorized ``%.16e`` (after
+Adams, "Ryu revisited: printf floating point conversion", 2019): each
+|x| is scaled to 17 digits as a double-double, the rounding is decided
+against a derived error bound, and the rare field it cannot decide is
+formatted alone by ``_FMT %``, so every byte equals CPython's output.
+Every file is written atomically (temp file in the target directory,
+then rename) so partially written files never appear under the final
+name.  Headers are fixed strings; readers validate them byte-for-byte.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import tempfile
 import warnings
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ComplexSpectrum, FrequencyGrid, RealSpectrum, TraSpectra, ValidationError
+from .core import _two_product
 from .bathmap import CorrelationFunction, EffectiveTemperature
 
 __all__ = [
@@ -69,13 +72,100 @@ def write_columns(path: str, header: str, columns) -> None:
     if any(c.size != n for c in cols):
         raise ValidationError("all columns must have equal length")
     table = np.column_stack(cols)
-    row = ",".join([_FMT] * len(cols)) + "\n"
+    step = max(1, _PIECE_FIELDS // len(cols))
     with _atomic_open(path) as fh:
         fh.write(header + "\n")
         for start in range(0, n, _BLOCK_ROWS):
             block = table[start : start + _BLOCK_ROWS]
-            # .tolist() gives Python floats, which %.16e formats as it does np.float64
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            pieces = range(0, len(block), step)
+            fh.write("".join([_format_block(block[i : i + step]) for i in pieces]))
+
+
+# For |x| in [_LOW, _HIGH], E = floor(log10|x|) lies in [-281, 280] (281 after
+# a carry), where 10**(16 - E) and Dekker's split neither overflow nor underflow.
+_LOW, _HIGH, _E_MIN, _E_MAX = 1e-280, 1e280, -281, 281
+_TIE_MARGIN = 2.0**-40  # above the error bound 2**-47 derived in _format_block
+# A field's byte slot is 7 native uint32 words, each filled by one table
+# lookup; NUL bytes ("_") are dropped: _-d. dddd dddd dddd dddd e+ht o,__
+_SLOT, _SEP_BYTE = 28, 25
+# Fields per _format_block call, so that its temporaries stay in cache: at
+# 2**16 fields a number costs about 3x as much (2-vCPU x86 VM).
+_PIECE_FIELDS = 1 << 13
+
+
+@functools.cache
+def _tables():
+    """Tables built on the first write: 10**(16 - E) as (hi, lo), each float
+    correctly rounded from exact integers (so hi + lo is within 2**-106
+    relative), and the slot words "_-d." (at d + 10 * negative), "dddd",
+    "e+ht" and "o,__" (by E)."""
+    hi, lo = [], []
+    for k in range(16 - _E_MIN, 16 - _E_MAX - 1, -1):
+        if k >= 0:
+            hi.append(float(10**k))
+            lo.append(float(10**k - int(hi[-1])))
+        else:
+            hi.append(1 / 10**-k)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+    exps = [f"e{e:+04d}" for e in range(_E_MIN, _E_MAX + 1)]  # e+hto
+    text = [f"_{sign}{d}." for sign in "_-" for d in range(10)]
+    text += [f"{g:04d}" for g in range(10**4)]
+    text += [e[:2] + e[2].replace("0", "_") + e[3] for e in exps] + [e[4] + ",__" for e in exps]
+    words = np.frombuffer("".join(text).replace("_", "\0").encode(), np.uint32)
+    return np.array(hi), np.array(lo), *np.split(words, np.cumsum([20, 10**4, len(exps)]))
+
+
+def _format_block(block) -> str:
+    """Rows of ``block`` as CSV text, each field byte-identical to ``_FMT % v``.
+
+    With E = floor(log10|x|) and k = 16 - E, y = |x| * 10**k is p + t:
+    (p, e) = _two_product(|x|, hi_k) exactly, t = fl(e + fl(|x| * lo_k)).
+    The digits are N = round-half-even(y), N = 10**17 carrying to 10**16
+    and E + 1.  Error bound for y < 10**17 < 2**57, with u = 2**-53: the
+    table (|hi_k + lo_k - 10**k| <= u**2 * 10**k) and the rounding of
+    |x| * lo_k (|lo_k| <= u * hi_k) give at most 2 * u**2 * y < 2**-48;
+    |e| <= ulp(p) / 2 <= 8 and |x * lo_k| <= u * y < 12 put t below 32,
+    whose rounding adds 2**-49: below 2**-47 in all.  p >= 2**53 is an even
+    integer, so N = p + rint(t) and floor(y) = p + floor(t) when t's fraction
+    is farther than _TIE_MARGIN from 1/2.  A nonzero field is formatted alone
+    by ``_FMT %`` when it is non-finite or outside [_LOW, _HIGH] (then y = 0),
+    within _TIE_MARGIN of a tie, or when floor(y) before rounding lies outside
+    [10**16, 10**17) (log10 off by one).  Zero needs no special path: N = E = 0.
+    """
+    hi, lo, leads, groups, exp_head, exp_tail = _tables()
+    x = block.ravel()
+    a = np.abs(x)
+    ok = (a >= _LOW) & (a <= _HIGH)
+    a[~ok] = 0.0
+    index = np.floor(np.log10(a, out=np.zeros_like(a), where=ok)).astype(np.int64) - _E_MIN
+    p, err = _two_product(a, hi[index])
+    t = err + a * lo[index]
+    floor_t = np.floor(t)
+    n = p.astype(np.int64)
+    whole = n + floor_t.astype(np.int64)
+    fallback = (x != 0) & (
+        (whole < 10**16) | (whole >= 10**17) | (np.abs(t - floor_t - 0.5) < _TIE_MARGIN)
+    )
+    n += np.rint(t).astype(np.int64)
+    n[fallback] = 0
+    carry = n == 10**17
+    n[carry] = 10**16
+    index += carry
+    top = n // 10**8
+    lead = top // 10**8
+    slots = np.empty((x.size, _SLOT), np.uint8)
+    words = slots.view(np.uint32)
+    words[:, 0] = leads[lead + 10 * np.signbit(x)]
+    for col, part in ((1, top - lead * 10**8), (3, n - top * 10**8)):
+        high = part // 10**4
+        words[:, col], words[:, col + 1] = groups[high], groups[part - high * 10**4]
+    words[:, 5], words[:, 6] = exp_head[index], exp_tail[index]
+    slots.reshape(block.shape + (_SLOT,))[:, -1, _SEP_BYTE] = ord("\n")
+    for i in np.flatnonzero(fallback):
+        text = (_FMT % float(x[i])).encode().ljust(_SEP_BYTE, b"\0")
+        slots[i, :_SEP_BYTE] = np.frombuffer(text, np.uint8)
+    return slots[slots != 0].tobytes().decode("ascii")
 
 
 def write_tra_csv(path: str, tra: TraSpectra) -> None:
@@ -248,11 +338,11 @@ def write_tra_svg(path: str, tra: TraSpectra) -> None:
     # decimate long traces to keep files small; peaks survive because the
     # grid is much denser than any plotted feature
     stride = max(1, omega.size // 2000)
+    px = _ML + (omega[::stride] - xlo) / (xhi - xlo) * plot_w
+    template = " ".join(["%.2f,%.2f"] * px.size)
     for (label, color), vals in zip(_TRACES, series):
-        pts = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}"
-            for x, y in zip(omega[::stride], vals[::stride])
-        )
+        py = _MT + (yhi - vals[::stride]) / (yhi - ylo) * plot_h
+        pts = template % tuple(np.column_stack([px, py]).ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'

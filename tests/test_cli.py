@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import re
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polarispec.cli import (
     ConfigError,
@@ -22,7 +25,14 @@ from polarispec.cli import (
     run_sweep,
     scenario_to_config,
 )
-from polarispec.core import AccuracyWarning, ValidationError, local_maxima, make_grid
+from polarispec.core import (
+    AccuracyWarning,
+    RealSpectrum,
+    TraSpectra,
+    ValidationError,
+    local_maxima,
+    make_grid,
+)
 from polarispec import cli, fileio, susceptibility
 
 
@@ -615,6 +625,97 @@ class TestCsvFormats:
             assert target.read_text() == "old\n"
         else:
             assert not target.exists()
+
+    @staticmethod
+    def _fmt_rows(header, cols):
+        """The oracle: each field formatted alone by ``_FMT %``."""
+        rows = [",".join(fileio._FMT % float(c[i]) for c in cols) for i in range(len(cols[0]))]
+        return ("\n".join([header, *rows]) + "\n").encode()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(bits=hnp.arrays(np.uint64, st.tuples(st.integers(1, 64), st.integers(1, 4))))
+    def test_raw_bit_patterns_match_per_field_format(self, tmp_path_factory, bits):
+        # uniform bit patterns: subnormals, nan and inf payloads, both signs,
+        # and about 9% of exponents outside the formatter's table
+        cols = list(bits.view(float).T)
+        path = tmp_path_factory.getbasetemp() / "bits.csv"
+        fileio.write_columns(str(path), "h", cols)
+        assert path.read_bytes() == self._fmt_rows("h", cols)
+
+    # near-ties: x * 10**(16 - E) within 2**-44 of a half-integer but not on
+    # it (found by lattice reduction); each rounds the wrong way without the
+    # formatter's tie margin
+    _NEAR_TIES = [
+        6.949401332094608e-275, 3.1998438680299115e-230, 7.587085707663444e-197,
+        2.7995356262440103e-152, 5.655230703474796e-119, 3.245530680092633e-63,
+        8.793651352650858e-19, 6.575702133224909e+70, 2.0027620751747793e+83,
+        1.6709604590099627e+120, 4.054951371223766e+169, 3.736303126520295e+243,
+    ]
+
+    def test_hard_cases_match_per_field_format(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-308, 309)])
+        hard = np.concatenate([
+            [1e-277, 2251799813685247.75, 5e-324, np.finfo(float).max],
+            [0.0, -0.0, np.inf, -np.inf, np.nan], self._NEAR_TIES,
+            np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+        ])
+        path = tmp_path / "hard.csv"
+        for cols in ([hard], [hard, -hard], list(np.resize(hard, (3, hard.size // 3)))):
+            fileio.write_columns(str(path), "h", cols)
+            assert path.read_bytes() == self._fmt_rows("h", cols)
+        fileio.write_columns(str(path), "h", [hard[:3]])
+        # log10 gives exactly -277 for fl(1e-277), which lies below 1e-277
+        assert path.read_text() == "h\n9.9999999999999997e-278\n2.2517998136852478e+15\n4.9406564584124654e-324\n"
+
+    @pytest.mark.parametrize("piece", [5, 1 << 13])
+    def test_fallback_and_formatted_fields_share_rows(self, tmp_path, monkeypatch, piece):
+        monkeypatch.setattr(fileio, "_BLOCK_ROWS", 8)
+        monkeypatch.setattr(fileio, "_PIECE_FIELDS", piece)
+        rng = np.random.default_rng(7)
+        n = 29
+        odd = [np.nan, -np.inf, 1e-300, -1e300, 2251799813685247.75, 5e-324, -0.0]
+        cols = [rng.normal(size=n), rng.normal(scale=1e-120, size=n), rng.normal(size=n)]
+        for i in range(0, n, 2):  # every other row, cycling through the columns
+            cols[i % 3][i] = odd[i // 2 % len(odd)]
+        path = tmp_path / "mixed.csv"
+        fileio.write_columns(str(path), "a,b,c", cols)
+        assert path.read_bytes() == self._fmt_rows("a,b,c", cols)
+
+    @pytest.mark.parametrize("n", [2, 3, 4001, 100001])
+    def test_svg_polylines_match_per_point_format(self, tmp_path, n):
+        grid = make_grid(-4.0, 8.0, n)
+        rng = np.random.default_rng(n)
+        t = rng.uniform(0.0, 1.0, n) / (1.0 + (grid.points - 2.0) ** 2)
+        r = 0.3 * t**2
+        tra = TraSpectra(*(RealSpectrum(grid, v) for v in (t, r, 1.0 - t - r)))
+        path = tmp_path / "tra.svg"
+        fileio.write_tra_svg(str(path), tra)
+        points = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert points == self._svg_points(tra)
+
+    @staticmethod
+    def _svg_points(tra):
+        """The oracle: write_tra_svg's polyline points, one point at a time."""
+        omega = tra.grid.points
+        series = [tra.transmission.values, tra.reflection.values, tra.absorption.values]
+        ylo = min(float(s.min()) for s in series)
+        yhi = max(float(s.max()) for s in series)
+        if yhi == ylo:
+            yhi = ylo + 1.0
+        pad = 0.05 * (yhi - ylo)
+        ylo, yhi = ylo - pad, yhi + pad
+        xlo, xhi = float(omega[0]), float(omega[-1])
+        plot_w = fileio._SVG_W - fileio._ML - fileio._MR
+        plot_h = fileio._SVG_H - fileio._MT - fileio._MB
+        stride = max(1, omega.size // 2000)
+        return [
+            " ".join(
+                f"{fileio._ML + (x - xlo) / (xhi - xlo) * plot_w:.2f},"
+                f"{fileio._MT + (yhi - y) / (yhi - ylo) * plot_h:.2f}"
+                for x, y in zip(omega[::stride], vals[::stride])
+            )
+            for vals in series
+        ]
 
 
 class TestTabulatedChi:
