@@ -37,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    _MAX_COUNT,
     AccuracyWarning,
     FrequencyGrid,
     RealSpectrum,
@@ -44,8 +45,10 @@ from .core import (
     ValidationError,
     _chirp_z,
     _Columns,
+    _count,
     _readonly,
     _Record,
+    _Samples,
     _trapezoid_weights,
     make_grid,
 )
@@ -77,33 +80,25 @@ _INVERSION_MSG = (
 )
 
 
-@dataclass(frozen=True)
-class CorrelationFunction:
+class CorrelationFunction(_Samples):
     """Complex two-point dipole correlation samples for t >= 0.
 
     The squared field-dipole prefactor is folded into the values, so
     C(0) equals the total transition weight of the ensemble.
     """
 
-    grid: TimeGrid
-    values: np.ndarray
+    dtype = complex
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 1 or v.size != self.grid.n_points:
-            raise ValidationError("need one correlation sample per time point")
-        if not np.isfinite(v).all():
-            raise ValidationError("correlation samples must be finite")
+    def check(self, v: np.ndarray) -> None:
+        super().check(v)
         peak = abs(v[0])
         if v[0].real < -1e-12 * peak:
             raise ValidationError("C(0) must have a nonnegative real part")
         if peak > 0 and np.abs(v).max() > peak * (1.0 + 1e-6):
             raise ValidationError("|C(t)| must not exceed C(0)")
-        object.__setattr__(self, "values", _readonly(v))
 
 
-@dataclass(frozen=True)
-class EffectiveTemperature:
+class EffectiveTemperature(_Samples):
     """Frequency-resolved inverse temperature of the surrogate bath.
 
     Values are nonnegative; +inf marks frequencies with no emission
@@ -111,18 +106,11 @@ class EffectiveTemperature:
     coth(beta*w/2) is exactly one.
     """
 
-    grid: FrequencyGrid
-    values: np.ndarray
-
-    def __post_init__(self):
+    def check(self, v: np.ndarray) -> None:
         if self.grid.omega_min <= 0:
             raise ValidationError("effective temperature lives on omega > 0")
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size != self.grid.n_points:
-            raise ValidationError("need one value per grid point")
         if np.isnan(v).any() or np.any(v < 0):
             raise ValidationError("beta_eff must be >= 0 (or +inf)")
-        object.__setattr__(self, "values", _readonly(v))
 
 
 @dataclass(frozen=True)
@@ -351,9 +339,7 @@ def discretize_bath(
     Every mode gets linewidth ``gamma_mode`` (default: the bin width, the
     smallest broadening that lets a finite bath mimic a continuum).
     """
-    if int(n_modes) != n_modes or n_modes < 1:
-        raise ValidationError("n_modes must be an integer >= 1")
-    n_modes = int(n_modes)
+    n_modes = _count("n_modes", n_modes, 1, _MAX_COUNT - 1)  # n_modes + 1 edges
     omega = J.grid.points
     jv = J.values
     if np.any(jv < 0):

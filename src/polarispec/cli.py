@@ -15,11 +15,18 @@ Model kinds: ``tls``, ``disordered_tls`` (adds a ``disorder`` object),
 ``vibronic``, ``multilevel`` (exactly three levels), ``tabulated_chi``
 (``path`` to a chi CSV, or null for an empty cavity).  ``method`` is
 either the string ``"harmonic"`` or ``{"kind": "finite_n", "n_modes": M}``
-with an optional ``gamma_mode``; ``finite_n`` takes its bath from
-:func:`polarispec.bathmap.surrogate_bath`.  ``beta`` may be the string
-``"inf"`` since JSON has no infinity literal.  Unknown keys anywhere are hard
-errors: a typo in a physics parameter must not silently fall back to a
-default.
+with an optional ``gamma_mode``; ``finite_n`` feeds the chi of the bath of
+:func:`polarispec.bathmap.surrogate_bath` to the same T/R/A formula.
+``beta`` may be the string ``"inf"`` since JSON has no infinity literal.
+Unknown keys anywhere are hard errors: a typo in a physics parameter must
+not silently fall back to a default.
+
+A sweep is one JSON document ``{"base": scenario, "parameter": "model.beta",
+"values": [...]}``.  The dotted ``parameter`` path is resolved on the raw
+base config, before parsing, and each value replaces the key it names;
+every resulting scenario is validated before anything is written.
+``"model.populations"`` is the one special path: on a multilevel base each
+value is a list with one population per level.
 
 Each config object's keys are defined once, in the field table below:
 a key is also the attribute name of the object it parses into, and its
@@ -27,8 +34,9 @@ codec both parses and serializes it.  A model kind names only the class
 it builds; the model object computes its own ``chi(grid)`` and
 ``transitions()``, so this module holds no model physics.
 
-Exit codes: 0 success, 2 configuration error (a grid too large to fit in
-memory included), 3 numerical error, 4 file I/O error.
+Exit codes: 0 success, 2 configuration error (a number beyond float range,
+a count beyond what numpy can index and a grid too large to fit in memory
+included), 3 numerical error, 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from .bathmap import (
     surrogate_bath,
 )
 from .core import (
+    _MAX_COUNT,
     ComplexSpectrum,
     FrequencyGrid,
     NumericalError,
@@ -59,12 +68,7 @@ from .core import (
     local_maxima,
 )
 from .fileio import TabulatedChi
-from .spectra import (
-    CavityParams,
-    green_finite_n,
-    spectra_from_green,
-    spectra_harmonic,
-)
+from .spectra import CavityParams, spectra_harmonic
 from .susceptibility import (
     DisorderedTls,
     DisorderSpec,
@@ -148,13 +152,16 @@ def _same(v):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A float, or an int (not a bool) within float range (compared exactly)."""
+    return isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)
 
 
 def _typed(accepts: Callable, expected: str, convert: Callable) -> _Codec:
     def parse(v, path):
         if not accepts(v):
-            raise ConfigError(f"{path}: expected {expected}, got {v!r}")
+            got = repr(v)
+            got = got if len(got) <= 40 else got[:36] + " ..."
+            raise ConfigError(f"{path}: expected {expected}, got {got}")
         return convert(v)
 
     return _Codec(parse, _same, False)
@@ -171,19 +178,17 @@ def _rows(width: int, what: str) -> _Codec:
     )._replace(dump=lambda rows: [list(r) for r in rows])
 
 
-def _parse_count(v, path: str) -> int:
-    if _INTEGER.parse(v, path) < 1:
-        raise ConfigError(f"{path}: must be >= 1")
-    return v
-
-
 def _optional(codec: _Codec) -> _Codec:
     return codec._replace(optional=True)
 
 
 _NUMBER = _typed(_is_number, "a number", float)
-_INTEGER = _typed(lambda v: type(v) is int, "an integer", _same)  # excludes bool
-_COUNT = _Codec(_parse_count, _same, False)
+_INTEGER = _typed(lambda v: type(v) is int and _is_number(v), "an integer", _same)
+_COUNT = _typed(  # n_modes, which discretize_bath turns into n_modes + 1 bin edges
+    lambda v: type(v) is int and 1 <= v < _MAX_COUNT,
+    f"an integer in [1, {_MAX_COUNT - 1}]",
+    _same,
+)
 _BETA = _typed(
     lambda v: v == "inf" or _is_number(v),
     'a number or the string "inf"',
@@ -309,10 +314,11 @@ def _parse_method(v, path: str) -> MethodSpec:
 def _parse_outputs(v, path: str) -> tuple:
     if not isinstance(v, list):
         raise ConfigError(f"{path}: expected a list")
-    for i, out in enumerate(v):
-        if out == {}:
+    outs = tuple(_OUTPUT.parse(out, f"{path}[{i}]") for i, out in enumerate(v))
+    for i, out in enumerate(outs):
+        if out.csv is None and out.svg is None:  # it would dump as {}
             raise ConfigError(f"{path}[{i}]: needs a csv or svg path")
-    return tuple(_OUTPUT.parse(out, f"{path}[{i}]") for i, out in enumerate(v))
+    return outs
 
 
 _SCENARIO = {
@@ -371,15 +377,13 @@ def _apply_parameter(cfg: dict, parameter: str, value) -> dict:
         for lv, p in zip(levels, value):
             lv[1] = p
         return cfg
-    keys = parameter.split(".")
+    *parents, last = parameter.split(".")
     node = cfg
-    for k in keys[:-1]:
-        if not isinstance(node, dict) or k not in node:
-            raise ConfigError(f"sweep.parameter: {parameter!r} does not resolve")
-        node = node[k]
-    if not isinstance(node, dict) or keys[-1] not in node:
+    for k in parents:
+        node = node.get(k) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or last not in node:
         raise ConfigError(f"sweep.parameter: {parameter!r} does not resolve")
-    node[keys[-1]] = value
+    node[last] = value
     return cfg
 
 
@@ -402,10 +406,9 @@ def _compute(s: Scenario, chi: ComplexSpectrum | None = None) -> TraSpectra:
     """Spectra of the scenario; ``chi`` is the model's chi on ``s.grid`` if known."""
     if chi is None:
         chi = s.model.chi(s.grid)
-    if s.method.kind == "harmonic":
-        return spectra_harmonic(chi, s.cavity)
-    bath = surrogate_bath(chi, s.method.n_modes, s.method.gamma_mode)
-    return spectra_from_green(green_finite_n(bath, s.cavity, s.grid), s.cavity)
+    if s.method.kind != "harmonic":
+        chi = surrogate_bath(chi, s.method.n_modes, s.method.gamma_mode).chi(s.grid)
+    return spectra_harmonic(chi, s.cavity)
 
 
 def run_scenario(
@@ -634,7 +637,7 @@ def _load_config(args) -> dict:
     with open(args.config) as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int of too many digits
             raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{args.config}: top level must be an object")
@@ -652,14 +655,9 @@ def _grid_section(cfg: dict) -> dict | None:
 
 def _apply_grid_overrides(cfg: dict, args) -> dict:
     grid = _grid_section(cfg)
-    if grid is None:
-        return cfg
-    if args.points is not None:
-        grid["n_points"] = args.points
-    if args.omega_min is not None:
-        grid["omega_min"] = args.omega_min
-    if args.omega_max is not None:
-        grid["omega_max"] = args.omega_max
+    given = {"n_points": args.points, "omega_min": args.omega_min, "omega_max": args.omega_max}
+    if grid is not None:
+        grid.update((key, v) for key, v in given.items() if v is not None)
     return cfg
 
 

@@ -107,6 +107,18 @@ class _Columns:
             yield record
 
 
+# the most complex128 values whose size in bytes numpy can index: a larger
+# count would fail as "array is too big" instead of as a MemoryError
+_MAX_COUNT = np.iinfo(np.intp).max // 16
+
+
+def _count(name: str, n, low: int, high: int = _MAX_COUNT) -> int:
+    """``n`` as an int; ValidationError unless it is an integer in [low, high]."""
+    if int(n) != n or not low <= n <= high:
+        raise ValidationError(f"{name} must be an integer in [{low}, {high}]")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform, inclusive frequency grid.
@@ -131,9 +143,7 @@ class FrequencyGrid:
                 f"omega_min ({self.omega_min}) must be strictly below "
                 f"omega_max ({self.omega_max})"
             )
-        if int(self.n_points) != self.n_points or self.n_points < 2:
-            raise ValidationError("n_points must be an integer >= 2")
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", _count("n_points", self.n_points, 2))
         pts = np.linspace(self.omega_min, self.omega_max, self.n_points)
         pts.flags.writeable = False
         object.__setattr__(self, "_points", pts)
@@ -159,9 +169,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.t_max) and self.t_max > 0):
             raise ValidationError("t_max must be finite and > 0")
-        if int(self.n_points) != self.n_points or self.n_points < 2:
-            raise ValidationError("n_points must be an integer >= 2")
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", _count("n_points", self.n_points, 2))
         ts = np.linspace(0.0, self.t_max, self.n_points)
         ts.flags.writeable = False
         object.__setattr__(self, "_times", ts)
@@ -175,42 +183,44 @@ class TimeGrid:
         return self.t_max / (self.n_points - 1)
 
 
-def _check_values(grid: FrequencyGrid, values: np.ndarray, what: str) -> None:
-    if values.ndim != 1 or values.size != grid.n_points:
-        raise ValidationError(
-            f"{what} needs one value per grid point "
-            f"({values.size} values for {grid.n_points} points)"
-        )
-    if not np.isfinite(values).all():
-        # Poles on the real axis (a zero linewidth upstream) show up here
-        # first; refuse to propagate them.
-        raise ValidationError(f"{what} contains non-finite values")
-
-
 @dataclass(frozen=True)
-class ComplexSpectrum:
+class _Samples:
+    """Values of the class's ``dtype``, one per point of ``grid``, held read-only.
+
+    ``__post_init__`` checks the shape and then calls :meth:`check`, which
+    subclasses extend with their own rules.
+    """
+
+    grid: FrequencyGrid | TimeGrid
+    values: np.ndarray
+    dtype = float
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=self.dtype)
+        if v.ndim != 1 or v.size != self.grid.n_points:
+            raise ValidationError(
+                f"{type(self).__name__} needs one value per grid point "
+                f"({v.size} values for {self.grid.n_points} points)"
+            )
+        self.check(v)
+        object.__setattr__(self, "values", _readonly(v))
+
+    def check(self, v: np.ndarray) -> None:
+        """Raise ValidationError unless ``v`` is valid; here: all finite."""
+        if not np.isfinite(v).all():
+            # Poles on the real axis (a zero linewidth upstream) show up here
+            # first; refuse to propagate them.
+            raise ValidationError(f"{type(self).__name__} contains non-finite values")
+
+
+class ComplexSpectrum(_Samples):
     """Complex-valued function sampled on a :class:`FrequencyGrid`."""
 
-    grid: FrequencyGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        _check_values(self.grid, v, "ComplexSpectrum")
-        object.__setattr__(self, "values", _readonly(v))
+    dtype = complex
 
 
-@dataclass(frozen=True)
-class RealSpectrum:
+class RealSpectrum(_Samples):
     """Real-valued function sampled on a :class:`FrequencyGrid`."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        _check_values(self.grid, v, "RealSpectrum")
-        object.__setattr__(self, "values", _readonly(v))
 
 
 _ENERGY_BALANCE_TOL = 1e-12

@@ -71,12 +71,12 @@ def write_columns(path: str, header: str, columns) -> None:
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ValidationError("all columns must have equal length")
-    table = np.column_stack(cols)
     step = max(1, _PIECE_FIELDS // len(cols))
     with _atomic_open(path) as fh:
         fh.write(header + "\n")
         for start in range(0, n, _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
+            # stacked one block at a time: no copy of the whole table
+            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in cols])
             pieces = range(0, len(block), step)
             fh.write("".join([_format_block(block[i : i + step]) for i in pieces]))
 

@@ -1,27 +1,32 @@
 """Cavity spectra from the photon retarded Green function.
 
-Two routes are provided, and both end in one propagator formula.  The
-closed route takes a molecular susceptibility and dresses the photon
-propagator with the self-energy -chi(w).  The finite route starts from a
-discretized surrogate bath: its single-excitation Hamiltonian is an
-arrowhead matrix (the photon couples to every mode, the modes not to
-each other), whose photon element is the Schur complement
+Two routes are provided, and both end in one formula.  The closed route
+takes a molecular susceptibility and dresses the photon propagator with
+the self-energy -chi(w).  The finite route starts from a discretized
+surrogate bath: its single-excitation Hamiltonian is an arrowhead matrix
+(the photon couples to every mode, the modes not to each other), whose
+photon element is the Schur complement (O'Leary & Stewart 1990)
 
     D(w) = 1 / (w - omega_ph + i kappa/2
                 - sum_k g_k^2 / (w - omega_k + i gamma_k/2)),
 
 i.e. the closed propagator fed the bath's pole-sum susceptibility
-``bath.chi(grid)``.  It costs O(N*M) for N frequencies and M modes and
-O(N) memory.  For harmonic (or effectively harmonic) ensembles the two
-routes converge as M grows, which the test suite uses as a cross-check.
+``bath.chi(grid)``: O(N*M) for N frequencies and M modes, O(N) memory,
+no matrix formed.  For harmonic (or effectively harmonic) ensembles the
+two routes converge as M grows, which the test suite uses as a check.
 
-Port formulas (input drive on the left, detection on both sides):
+:func:`spectra_harmonic` is the one runtime formula of both routes; its
+A = 2 kappa_L Im chi |D|^2 is exactly >= 0 for a passive chi.  The port
+formulas (input drive on the left, detection on both sides)
 
     T = kappa_L kappa_R |D|^2
     R = 1 + 2 kappa_L Im D + kappa_L^2 |D|^2
     A = -kappa_L (kappa |D|^2 + 2 Im D)
 
-These satisfy T + R + A = 1 identically.
+subtract two nearly equal terms for A.  They are kept, with
+:func:`green_finite_n` and :func:`landauer_transmission`, as the
+independent reference the tests compare against.  Both sets satisfy
+T + R + A = 1 identically.
 """
 
 from __future__ import annotations
@@ -78,24 +83,30 @@ class CavityParams:
         return self.kappa_L + self.kappa_R
 
 
+def _denominator(chi: ComplexSpectrum, cav: CavityParams):
+    """The propagator denominator w - omega_ph + i kappa/2 + chi(w) and its |.|**2.
+
+    It can only vanish for a lossless, transparent system, which the cavity
+    validation excludes; a near-zero is a numerical error, not an overflow.
+    """
+    den = chi.grid.points - cav.omega_ph + 0.5j * cav.kappa + chi.values
+    mag2 = den.real**2 + den.imag**2
+    if mag2.min() < 1e-28:  # |den| < 1e-14
+        raise NumericalError(
+            "photon propagator denominator vanishes "
+            f"(min |den| = {np.sqrt(mag2.min()):.3e}); inputs are unphysical"
+        )
+    return den, mag2
+
+
 def photon_green_function(
     chi: ComplexSpectrum, cav: CavityParams
 ) -> ComplexSpectrum:
     """Photon propagator dressed by the molecular response.
 
-    D(w) = 1 / (w - omega_ph + i kappa/2 + chi(w)).  The denominator can
-    only vanish for a lossless, transparent system, which the cavity
-    validation already excludes; a near-zero is reported as a numerical
-    error rather than returned as an overflow.
+    D(w) = 1 / (w - omega_ph + i kappa/2 + chi(w)).
     """
-    omega = chi.grid.points
-    den = omega - cav.omega_ph + 0.5j * cav.kappa + chi.values
-    small = np.abs(den)
-    if small.min() < 1e-14:
-        raise NumericalError(
-            "photon propagator denominator vanishes "
-            f"(min |den| = {small.min():.3e}); inputs are unphysical"
-        )
+    den, _ = _denominator(chi, cav)
     return ComplexSpectrum(chi.grid, 1.0 / den)
 
 
@@ -126,15 +137,14 @@ def spectra_from_green(D: ComplexSpectrum, cav: CavityParams) -> TraSpectra:
 
 
 def spectra_harmonic(chi: ComplexSpectrum, cav: CavityParams) -> TraSpectra:
-    """Spectra directly from the susceptibility (thermodynamic limit).
+    """Spectra from the susceptibility: the runtime formula of both routes.
 
-    Algebraically identical to composing :func:`photon_green_function`
-    with :func:`spectra_from_green`; kept separate because this is the
-    formula users quote, with R obtained by subtraction.
+    T = kappa_L kappa_R |D|^2, A = 2 kappa_L Im chi |D|^2, R = 1 - T - A;
+    the finite route passes its bath's ``bath.chi(grid)``.  Algebraically
+    the port formulas of :func:`spectra_from_green`, but A >= 0 exactly for
+    a passive chi (module docstring).
     """
-    omega = chi.grid.points
-    den = omega - cav.omega_ph + 0.5j * cav.kappa + chi.values
-    mag2 = den.real**2 + den.imag**2
+    _, mag2 = _denominator(chi, cav)
     transmission = cav.kappa_L * cav.kappa_R / mag2
     absorption = 2.0 * cav.kappa_L * chi.values.imag / mag2
     reflection = 1.0 - transmission - absorption
@@ -144,18 +154,10 @@ def spectra_harmonic(chi: ComplexSpectrum, cav: CavityParams) -> TraSpectra:
 def green_finite_n(
     bath: DiscretizedBath, cav: CavityParams, grid: FrequencyGrid
 ) -> ComplexSpectrum:
-    """Photon propagator of a finite surrogate bath.
+    """Photon propagator of a finite surrogate bath (the reference route).
 
-    The photon element of (w - H)^-1 for the (1+M) x (1+M) arrowhead
-    single-excitation matrix H is the Schur complement of the mode block,
-
-        D(w) = 1 / (w - omega_ph + i kappa/2
-                    - sum_k g_k^2 / (w - omega_k + i gamma_k/2)),
-
-    which is :func:`photon_green_function` fed the bath's discrete
-    susceptibility ``bath.chi(grid)``, the pole sum over its modes
-    (O'Leary & Stewart 1990 on arrowhead matrices).  Cost O(N*M) for N
-    frequencies and M modes, memory O(N); no matrix is formed.
+    The Schur complement of the arrowhead matrix's mode block (module
+    docstring): :func:`photon_green_function` fed ``bath.chi(grid)``.
     """
     return photon_green_function(bath.chi(grid), cav)
 

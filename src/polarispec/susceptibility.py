@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _MAX_COUNT,
     AccuracyWarning,
     ComplexSpectrum,
     FrequencyGrid,
@@ -246,9 +247,11 @@ class VibronicModel(LineModel):
         if not (np.isfinite(self.huang_rhys) and self.huang_rhys >= 0):
             raise ValidationError("huang_rhys must be >= 0")
         if self.m_max is not None and not (
-            isinstance(self.m_max, (int, np.integer)) and self.m_max >= 0
-        ):
-            raise ValidationError(f"m_max must be an integer >= 0, got {self.m_max!r}")
+            isinstance(self.m_max, (int, np.integer)) and 0 <= self.m_max < _MAX_COUNT
+        ):  # m_max + 1 weights
+            raise ValidationError(
+                f"m_max must be an integer >= 0 and < {_MAX_COUNT}, got {self.m_max!r}"
+            )
 
     def transitions(self) -> TransitionSet:
         """Franck-Condon progression as a transition set (zero temperature)."""

@@ -6,11 +6,13 @@ report lines.
 
 import math
 import time
+import warnings
 
 import numpy as np
 from scipy.integrate import quad
 
 from polarispec.core import (
+    AccuracyWarning,
     RealSpectrum,
     TimeGrid,
     local_maxima,
@@ -22,6 +24,7 @@ from polarispec.bathmap import (
     effective_temperature,
     reconstruct_correlation,
     spectral_density_from_chi,
+    surrogate_bath,
 )
 from polarispec.cli import (
     TabulatedChi,
@@ -31,6 +34,7 @@ from polarispec.cli import (
     peak_splitting,
     preset_config,
     preset_names,
+    run_scenario,
     run_sweep,
 )
 from polarispec.spectra import (
@@ -295,6 +299,19 @@ def test_criterion_9_landauer_identity():
         t_trace = landauer_transmission(D, cav).values
         t_port = spectra_from_green(D, cav).transmission.values
         worst = max(worst, float(np.abs(t_trace - t_port).max()))
+    # and so does the finite_n route of run_scenario, on every absorbing preset
+    for name in ("fig2a", "fig3a", "fig3b", "fig4", "fig5a", "fig5b"):
+        cfg = preset_config(name)
+        cfg["method"] = {"kind": "finite_n", "n_modes": 64}
+        scenario = parse_scenario(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)  # rotating-frame presets
+            t_route = run_scenario(scenario).transmission.values
+            chi = model_susceptibility(scenario.model, scenario.grid)
+            bath = surrogate_bath(chi, 64)
+        D = green_finite_n(bath, scenario.cavity, scenario.grid)
+        t_trace = landauer_transmission(D, scenario.cavity).values
+        worst = max(worst, float(np.abs(t_trace - t_route).max()))
     ok = worst < 1e-12
     _report(9, ok, f"max |T_trace - T_port| = {worst:.3e} across presets")
 

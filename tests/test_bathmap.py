@@ -347,8 +347,9 @@ class TestDiscretizeBath:
         g = make_grid(0.0, 10.0, 101)
         vals = np.ones(101)
         vals[0] = 0.0
-        with pytest.raises(ValidationError):
-            discretize_bath(RealSpectrum(g, vals), 0)
+        for n_modes in (0, 10**30):
+            with pytest.raises(ValidationError):
+                discretize_bath(RealSpectrum(g, vals), n_modes)
 
     def test_single_broad_mode_gives_doublet_with_matched_splitting(self):
         from polarispec.spectra import (

@@ -82,6 +82,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="kappa_L"):
             parse_scenario(cfg)
 
+    @pytest.mark.parametrize("entry", [{}, {"csv": None}, {"csv": None, "svg": None}])
+    def test_output_entry_needs_a_path(self, entry):
+        cfg = preset_config("fig2a")
+        cfg["outputs"] = [{"csv": "spectra.csv"}, entry]
+        with pytest.raises(ConfigError, match=r"^outputs\[1\]: needs a csv or svg path$"):
+            parse_scenario(cfg)
+
     def test_beta_inf_spelling(self):
         cfg = preset_config("fig2a")
         s = parse_scenario(cfg)
@@ -472,6 +479,14 @@ class TestMainEntry:
         assert main(["spectrum", "--config", path]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_numerical_error_exit_code(self, tmp_path, capsys):
+        cfg = preset_config("empty_cavity")
+        cfg["cavity"] = {"omega_ph": 0.0, "kappa_L": 1e-16, "kappa_R": 1e-16}
+        cfg["grid"] = {"omega_min": -1.0, "omega_max": 1.0, "n_points": 3}
+        assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: photon propagator denominator vanishes")
+
     def test_bad_json_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -508,6 +523,59 @@ class TestMainEntry:
         assert main(argv[:3] if command == "spectrum" else argv) == 2
         assert "error: sweep.base: expected an object" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "preset, key, value, message",
+        [
+            pytest.param("fig2a", "model.g", 10**400, "model.g: expected a number, got 1000",
+                         id="g"),
+            pytest.param("fig2a", "model.beta", 10**400, "model.beta: expected a number or",
+                         id="beta"),
+            pytest.param("fig2a", "grid.omega_min", -(10**400),
+                         "grid.omega_min: expected a number", id="omega_min"),
+            pytest.param("fig5a", "model.levels", [[0.0, 0.7], [1.0, 10**400], [3.0, 0.1]],
+                         "model.levels: expected a list of [omega, population] pairs",
+                         id="levels"),
+            pytest.param("fig4", "model.m_max", 10**400, "model.m_max: expected an integer, got",
+                         id="m_max-digits"),
+            pytest.param("fig4", "model.m_max", 10**30,
+                         "model: m_max must be an integer >= 0 and < ", id="m_max-size"),
+            pytest.param("fig2a", "grid.n_points", 2**63,
+                         "grid: n_points must be an integer in [2, ", id="n_points-2**63"),
+            pytest.param("fig2a", "grid.n_points", 10**30,
+                         "grid: n_points must be an integer in [2, ", id="n_points-10**30"),
+            pytest.param("fig2a", "method", {"kind": "finite_n", "n_modes": 10**30},
+                         "method.n_modes: expected an integer in [1, ", id="n_modes"),
+        ],
+    )
+    def test_oversized_number_is_one_error_line(self, tmp_path, capsys, preset, key, value,
+                                                message):
+        cfg = preset_config(preset)
+        *parents, last = key.split(".")
+        section = cfg
+        for k in parents:
+            section = section[k]
+        section[last] = value
+        assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+        assert len(err) < 200  # a long value is cut short
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            pytest.param(10**30, "error: grid: n_points must be an integer in [2, ",
+                         id="beyond-numpy"),
+            # the largest count the grid takes, far beyond any address space
+            pytest.param(cli._MAX_COUNT,
+                         f"error: a grid of {cli._MAX_COUNT} points does not fit",
+                         id="beyond-memory"),
+        ],
+    )
+    def test_oversized_points_override(self, capsys, points, message):
+        assert main(["spectrum", "--preset", "fig2a", "--points", str(points)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_grid_that_does_not_fit_is_one_error_line(self, monkeypatch, capsys):
         def out_of_memory(*args, **kwargs):

@@ -33,6 +33,11 @@ class TestMakeGrid:
         with pytest.raises(ValidationError):
             make_grid(0, 1, 1)
 
+    @pytest.mark.parametrize("n_points", [2**63, 10**30])
+    def test_more_points_than_numpy_holds_rejected(self, n_points):
+        with pytest.raises(ValidationError, match=r"n_points must be an integer in \[2, "):
+            make_grid(0, 1, n_points)
+
     def test_nonfinite_bound_rejected(self):
         with pytest.raises(ValidationError):
             make_grid(0, np.inf, 10)
@@ -67,6 +72,8 @@ class TestTimeGrid:
             TimeGrid(0.0, 10)
         with pytest.raises(ValidationError):
             TimeGrid(1.0, 1)
+        with pytest.raises(ValidationError):
+            TimeGrid(1.0, 2**63)
 
 
 class TestSpectrumContainers:

@@ -13,6 +13,7 @@ from polarispec.core import (
     local_maxima,
     make_grid,
 )
+from polarispec.cli import parse_scenario, run_scenario
 from polarispec.bathmap import BathMode, DiscretizedBath, discretize_bath, spectral_density_from_chi
 from polarispec.spectra import (
     CavityParams,
@@ -187,6 +188,7 @@ class TestPortFormulas:
     def test_passive_medium_bounds(self):
         rng = np.random.default_rng(5)
         g = make_grid(-4, 4, 401)
+        spectra = []
         for _ in range(25):
             cav = CavityParams(
                 rng.uniform(-0.5, 0.5), rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
@@ -202,7 +204,18 @@ class TestPortFormulas:
                     )
                 ]
             )
-            tra = spectra_harmonic(chi_multilevel(ts, g), cav)
+            spectra.append(spectra_harmonic(chi_multilevel(ts, g), cav))
+        # the finite_n route of run_scenario, on a lab-frame line
+        cfg = {
+            "cavity": {"omega_ph": 2.0, "kappa_L": 0.07, "kappa_R": 0.03},
+            "model": {"kind": "tls", "n_emitters": 1.0, "g": 1.0, "omega_exc": 2.0,
+                      "beta": "inf", "gamma": 0.3},
+            "grid": {"omega_min": -4.0, "omega_max": 8.0, "n_points": 2001},
+        }
+        for n_modes in (16, 256):
+            cfg["method"] = {"kind": "finite_n", "n_modes": n_modes}
+            spectra.append(run_scenario(parse_scenario(cfg)))
+        for tra in spectra:
             assert tra.absorption.values.min() >= -1e-14
             assert tra.transmission.values.min() >= 0
             assert tra.transmission.values.max() <= 1 + 1e-14
@@ -367,5 +380,6 @@ class TestNumericalGuards:
     def test_vanishing_denominator_reported(self):
         g = make_grid(-1, 1, 3)
         cav = CavityParams(0.0, 1e-16, 1e-16)
-        with pytest.raises(NumericalError):
-            photon_green_function(_zero_chi(g), cav)
+        for route in (photon_green_function, spectra_harmonic):
+            with pytest.raises(NumericalError, match=r"min \|den\| = 1\.000e-16"):
+                route(_zero_chi(g), cav)

@@ -340,7 +340,7 @@ class TestModelsRejectNonFiniteParameters:
         with pytest.raises(ValidationError, match=message):
             MultilevelModel(levels, [(1, 2, 1.0), (2, 3, 1.0)], 1.0, g_scale, 0.3)
 
-    @pytest.mark.parametrize("m_max", [2.5, -0.0, 2.0, -1, "3"])
+    @pytest.mark.parametrize("m_max", [2.5, -0.0, 2.0, -1, "3", 10**30])
     def test_vibronic_m_max_must_be_a_nonnegative_integer(self, m_max):
         # 2.5 and -0.0 used to pass here and fail later inside np.empty
         with pytest.raises(ValidationError, match="m_max must be an integer >= 0"):
