@@ -28,15 +28,17 @@ every resulting scenario is validated before anything is written.
 ``"model.populations"`` is the one special path: on a multilevel base each
 value is a list with one population per level.
 
-Each config object's keys are defined once, in the field table below:
-a key is also the attribute name of the object it parses into, and its
-codec both parses and serializes it.  A model kind names only the class
-it builds; the model object computes its own ``chi(grid)`` and
-``transitions()``, so this module holds no model physics.
+Each config object's keys are declared once, as the init fields of the
+dataclass it parses into, in field order.  The field table below names
+only the codecs of the fields that are not plain numbers; a codec both
+parses and serializes its field and says whether the key may be left
+out (a plain number may when its field has a default).  A model kind
+names only the class it builds; the model object computes its own
+``chi(grid)`` and ``transitions()``, so this module holds no model physics.
 
 Exit codes: 0 success, 2 configuration error (a number beyond float range,
-a count beyond what numpy can index and a grid too large to fit in memory
-included), 3 numerical error, 4 file I/O error.
+a count beyond what numpy can index and a grid or bath too large to fit in
+memory included), 3 numerical error, 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from __future__ import annotations
 import argparse
 import copy
 import csv as _csv
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Callable, NamedTuple
 
 from . import fileio
@@ -144,7 +147,8 @@ class Sweep:
 class _Codec(NamedTuple):
     parse: Callable  # (value, dotted path for messages) -> field value
     dump: Callable  # field value -> JSON value
-    optional: bool  # may be absent; omitted from the dump when None or empty
+    optional: bool = False  # may be absent; omitted from the dump when None or empty
+    build: type | None = None  # the dataclass a section parses into
 
 
 def _same(v):
@@ -164,7 +168,7 @@ def _typed(accepts: Callable, expected: str, convert: Callable) -> _Codec:
             raise ConfigError(f"{path}: expected {expected}, got {got}")
         return convert(v)
 
-    return _Codec(parse, _same, False)
+    return _Codec(parse, _same)
 
 
 def _rows(width: int, what: str) -> _Codec:
@@ -195,12 +199,7 @@ _BETA = _typed(
     lambda v: math.inf if v == "inf" else float(v),
 )._replace(dump=lambda beta: "inf" if math.isinf(beta) else beta)
 _PATH = _typed(lambda v: v is None or isinstance(v, str), "a string or null", _same)
-_RAW = _Codec(lambda v, path: v, _same, False)  # checked where it is used
-
-
-class _Model(NamedTuple):
-    build: type
-    fields: dict  # config key (= attribute of the model) -> codec; "kind" is the table key
+_RAW = _Codec(lambda v, path: v, _same)  # checked where it is used
 
 
 def _parse_fields(fields: dict, d, path: str, prefix: str) -> dict:
@@ -225,8 +224,17 @@ def _dump_fields(fields: dict, obj) -> dict:
     return out
 
 
-def _section(build: Callable, fields: dict) -> _Codec:
-    """Codec of a config object whose keys are ``build``'s keyword arguments."""
+def _section(build: type, **codecs: _Codec) -> _Codec:
+    """Codec of a dataclass config object whose keys are its init fields.
+
+    A field is a number (optional when it has a default) unless ``codecs``
+    names another codec for it.
+    """
+    fields = {
+        f.name: codecs.get(f.name, _NUMBER._replace(optional=f.default is not MISSING))
+        for f in dataclasses.fields(build)
+        if f.init
+    }
 
     def parse(d, path):
         kwargs = _parse_fields(fields, d, path, f"{path}.")
@@ -235,46 +243,24 @@ def _section(build: Callable, fields: dict) -> _Codec:
         except ValidationError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
-    return _Codec(parse, lambda obj: _dump_fields(fields, obj), False)
+    return _Codec(parse, lambda obj: _dump_fields(fields, obj), build=build)
 
 
-_CAVITY = _section(
-    CavityParams, {"omega_ph": _NUMBER, "kappa_L": _NUMBER, "kappa_R": _NUMBER}
-)
-_GRID = _section(
-    FrequencyGrid, {"omega_min": _NUMBER, "omega_max": _NUMBER, "n_points": _INTEGER}
-)
-_FINITE_N = _section(
-    MethodSpec, {"kind": _RAW, "n_modes": _COUNT, "gamma_mode": _optional(_NUMBER)}
-)
-_OUTPUT = _section(OutputSpec, {"csv": _optional(_PATH), "svg": _optional(_PATH)})
-_DISORDER = _section(DisorderSpec, {"kind": _RAW, "center": _NUMBER, "sigma": _NUMBER})
+_FINITE_N = _section(MethodSpec, kind=_RAW, n_modes=_COUNT)
+_OUTPUT = _section(OutputSpec, csv=_optional(_PATH), svg=_optional(_PATH))
 
 _MODELS = {
-    "tls": _Model(
-        TlsEnsemble,
-        {"n_emitters": _NUMBER, "g": _NUMBER, "omega_exc": _NUMBER, "beta": _BETA,
-         "gamma": _NUMBER},
-    ),
-    "disordered_tls": _Model(
-        DisorderedTls,
-        {"n_emitters": _NUMBER, "g": _NUMBER, "omega_exc": _NUMBER, "gamma": _NUMBER,
-         "disorder": _DISORDER},
-    ),
-    "vibronic": _Model(
-        VibronicModel,
-        {"n_emitters": _NUMBER, "g": _NUMBER, "omega_exc": _NUMBER, "omega_v": _NUMBER,
-         "huang_rhys": _NUMBER, "gamma": _NUMBER, "m_max": _optional(_INTEGER)},
-    ),
-    "multilevel": _Model(
+    "tls": _section(TlsEnsemble, beta=_BETA),
+    "disordered_tls": _section(DisorderedTls, disorder=_section(DisorderSpec, kind=_RAW)),
+    "vibronic": _section(VibronicModel, m_max=_optional(_INTEGER)),
+    "multilevel": _section(
         MultilevelModel,
-        {"levels": _rows(2, "[omega, population] pairs"),
-         "dipoles": _rows(3, "[low, high, amplitude] triples"),
-         "n_emitters": _NUMBER, "g_scale": _NUMBER, "gamma": _NUMBER},
+        levels=_rows(2, "[omega, population] pairs"),
+        dipoles=_rows(3, "[low, high, amplitude] triples"),
     ),
-    "tabulated_chi": _Model(TabulatedChi, {"path": _PATH}),
+    "tabulated_chi": _section(TabulatedChi, path=_PATH),
 }
-_MODEL_KIND = {entry.build: kind for kind, entry in _MODELS.items()}
+_MODEL_KIND = {codec.build: kind for kind, codec in _MODELS.items()}
 
 
 def _model_kind(model) -> str:
@@ -292,13 +278,12 @@ def _parse_model(d, path: str):
         raise ConfigError(f"{path}.kind: missing required key")
     if not isinstance(kind, str) or kind not in _MODELS:
         raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
-    fields = {k: v for k, v in d.items() if k != "kind"}
-    return _section(_MODELS[kind].build, _MODELS[kind].fields).parse(fields, path)
+    return _MODELS[kind].parse({k: v for k, v in d.items() if k != "kind"}, path)
 
 
 def _dump_model(model) -> dict:
     kind = _model_kind(model)
-    return {"kind": kind, **_dump_fields(_MODELS[kind].fields, model)}
+    return {"kind": kind, **_MODELS[kind].dump(model)}
 
 
 def _parse_method(v, path: str) -> MethodSpec:
@@ -322,13 +307,12 @@ def _parse_outputs(v, path: str) -> tuple:
 
 
 _SCENARIO = {
-    "cavity": _CAVITY,
-    "model": _Codec(_parse_model, _dump_model, False),
-    "grid": _GRID,
+    "cavity": _section(CavityParams),
+    "model": _Codec(_parse_model, _dump_model),
+    "grid": _section(FrequencyGrid, n_points=_INTEGER),
     "method": _Codec(
         _parse_method,
         lambda m: "harmonic" if m.kind == "harmonic" else _FINITE_N.dump(m),
-        False,
     ),
     "outputs": _Codec(_parse_outputs, lambda outs: [_OUTPUT.dump(o) for o in outs], True),
 }
@@ -494,117 +478,69 @@ def export_bundle(s: Scenario, outdir: str) -> list[str]:
 # Presets
 
 
-def _fig2a() -> dict:
-    return {
-        "description": "resonant two-level ensemble, collective coupling 2.0, "
-        "zero temperature",
-        "cavity": {"omega_ph": 0.0, "kappa_L": 0.05, "kappa_R": 0.05},
-        "model": {
-            "kind": "tls",
-            "n_emitters": 1.0,
-            "g": 2.0,
-            "omega_exc": 0.0,
-            "beta": "inf",
-            "gamma": 0.3,
-        },
-        "grid": {"omega_min": -4.0, "omega_max": 4.0, "n_points": 4001},
-        "method": "harmonic",
-    }
+# The scenario every preset starts from, a bare cavity (chi = 0); each other
+# preset replaces its model and may replace keys of its cavity and grid.
+_BASE = {
+    "cavity": {"omega_ph": 0.0, "kappa_L": 0.05, "kappa_R": 0.05},
+    "model": {"kind": "tabulated_chi", "path": None},
+    "grid": {"omega_min": -4.0, "omega_max": 4.0, "n_points": 4001},
+    "method": "harmonic",
+}
 
 
-def _fig2b() -> dict:
-    base = _fig2a()
-    del base["description"]
-    # detuned from zero so the thermal factor actually varies with beta
-    base["model"]["omega_exc"] = 1.0
-    base["cavity"]["omega_ph"] = 1.0
-    base["grid"] = {"omega_min": -4.0, "omega_max": 6.0, "n_points": 5001}
-    return {
-        "description": "temperature sweep of the resonant two-level ensemble: "
-        "the peak splitting contracts as saturation sets in",
-        "base": base,
-        "parameter": "model.beta",
-        "values": ["inf", 2.0, 1.0, 0.5, 0.25, 0.0],
-    }
+def _preset(model: dict, **sections: dict) -> dict:
+    cfg = copy.deepcopy(_BASE)
+    for name, keys in sections.items():
+        cfg[name].update(keys)
+    cfg["model"] = model
+    return cfg
 
 
-def _fig3(kind: str) -> dict:
-    return {
-        "description": f"{kind} energy disorder (width 1.0) across a "
-        "two-level ensemble, collective coupling 1.5",
-        "cavity": {"omega_ph": 0.0, "kappa_L": 0.05, "kappa_R": 0.05},
-        "model": {
-            "kind": "disordered_tls",
-            "n_emitters": 1.0,
-            "g": 1.5,
-            "omega_exc": 0.0,
-            "gamma": 0.1,
-            "disorder": {"kind": kind, "center": 0.0, "sigma": 1.0},
-        },
-        "grid": {"omega_min": -5.0, "omega_max": 5.0, "n_points": 4001},
-        "method": "harmonic",
-    }
+def _tls(omega_exc: float) -> dict:
+    return {"kind": "tls", "n_emitters": 1.0, "g": 2.0, "omega_exc": omega_exc,
+            "beta": "inf", "gamma": 0.3}
 
 
-def _fig4() -> dict:
-    return {
-        "description": "vibronic progression (mode 0.3, displacement parameter 3) "
-        "under collective coupling 1.0",
-        "cavity": {"omega_ph": 0.0, "kappa_L": 0.05, "kappa_R": 0.05},
-        "model": {
-            "kind": "vibronic",
-            "n_emitters": 1.0,
-            "g": 1.0,
-            "omega_exc": 0.0,
-            "omega_v": 0.3,
-            "huang_rhys": 3.0,
-            "gamma": 0.1,
-        },
-        "grid": {"omega_min": -4.0, "omega_max": 4.0, "n_points": 4001},
-        "method": "harmonic",
-    }
+def _disordered(kind: str) -> dict:
+    return {"kind": "disordered_tls", "n_emitters": 1.0, "g": 1.5, "omega_exc": 0.0,
+            "gamma": 0.1, "disorder": {"kind": kind, "center": 0.0, "sigma": 1.0}}
 
 
-def _fig5(populations, note) -> dict:
-    return {
-        "description": "three-level ensemble (gaps 1 and 2) with populations "
-        f"{populations}: {note}",
-        "cavity": {"omega_ph": 1.0, "kappa_L": 0.05, "kappa_R": 0.05},
-        "model": {
-            "kind": "multilevel",
-            "levels": [[0.0, populations[0]], [1.0, populations[1]], [3.0, populations[2]]],
-            "dipoles": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]],
-            "n_emitters": 1.0,
-            "g_scale": 1.0,
-            "gamma": 0.3,
-        },
-        "grid": {"omega_min": -1.0, "omega_max": 5.0, "n_points": 4001},
-        "method": "harmonic",
-    }
-
-
-def _empty_cavity() -> dict:
-    return {
-        "description": "bare cavity: zero susceptibility baseline",
-        "cavity": {"omega_ph": 0.0, "kappa_L": 0.05, "kappa_R": 0.05},
-        "model": {"kind": "tabulated_chi", "path": None},
-        "grid": {"omega_min": -4.0, "omega_max": 4.0, "n_points": 4001},
-        "method": "harmonic",
-    }
+def _three_level(*populations: float) -> dict:
+    model = {"kind": "multilevel",
+             "levels": [[w, p] for w, p in zip((0.0, 1.0, 3.0), populations)],
+             "dipoles": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]],
+             "n_emitters": 1.0, "g_scale": 1.0, "gamma": 0.3}
+    return _preset(model, cavity={"omega_ph": 1.0},
+                   grid={"omega_min": -1.0, "omega_max": 5.0})
 
 
 _PRESETS = {
-    "fig2a": _fig2a,
-    "fig2b": _fig2b,
-    "fig3a": lambda: _fig3("gaussian"),
-    "fig3b": lambda: _fig3("lorentzian"),
-    "fig4": _fig4,
-    "fig5a": lambda: _fig5((0.7, 0.2, 0.1), "four hybrid peaks"),
-    "fig5b": lambda: _fig5((0.48, 0.48, 0.04), "one transition saturated, three peaks"),
-    "fig5c": lambda: _fig5(
-        (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), "fully saturated, bare-cavity response"
-    ),
-    "empty_cavity": _empty_cavity,
+    # resonant two-level ensemble, collective coupling 2.0, zero temperature
+    "fig2a": _preset(_tls(0.0)),
+    # temperature sweep of the resonant two-level ensemble: the peak splitting
+    # contracts as saturation sets in; detuned from zero so the thermal factor
+    # actually varies with beta
+    "fig2b": {
+        "base": _preset(_tls(1.0), cavity={"omega_ph": 1.0},
+                        grid={"omega_max": 6.0, "n_points": 5001}),
+        "parameter": "model.beta",
+        "values": ["inf", 2.0, 1.0, 0.5, 0.25, 0.0],
+    },
+    # gaussian and lorentzian energy disorder (width 1.0) across a two-level
+    # ensemble, collective coupling 1.5
+    "fig3a": _preset(_disordered("gaussian"), grid={"omega_min": -5.0, "omega_max": 5.0}),
+    "fig3b": _preset(_disordered("lorentzian"), grid={"omega_min": -5.0, "omega_max": 5.0}),
+    # vibronic progression (mode 0.3, displacement parameter 3) under
+    # collective coupling 1.0
+    "fig4": _preset({"kind": "vibronic", "n_emitters": 1.0, "g": 1.0, "omega_exc": 0.0,
+                     "omega_v": 0.3, "huang_rhys": 3.0, "gamma": 0.1}),
+    # three-level ensemble (gaps 1 and 2) with fixed populations:
+    "fig5a": _three_level(0.7, 0.2, 0.1),  # four hybrid peaks
+    "fig5b": _three_level(0.48, 0.48, 0.04),  # one transition saturated, three peaks
+    "fig5c": _three_level(1 / 3, 1 / 3, 1 / 3),  # fully saturated, bare-cavity response
+    # bare cavity: zero susceptibility baseline
+    "empty_cavity": _BASE,
 }
 
 
@@ -613,14 +549,12 @@ def preset_names() -> list[str]:
 
 
 def preset_config(name: str) -> dict:
-    """Configuration dict of a bundled preset (description key removed)."""
+    """Configuration dict of a bundled preset (a fresh copy)."""
     if name not in _PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
-    cfg = _PRESETS[name]()
-    cfg.pop("description", None)
-    return cfg
+    return copy.deepcopy(_PRESETS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -644,20 +578,19 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _grid_section(cfg: dict) -> dict | None:
-    """The grid object of a scenario or of a sweep's base; None if absent."""
+def _scenario_section(cfg: dict, key: str) -> dict:
+    """The ``key`` object of a scenario or of a sweep's base; {} if absent."""
     target = cfg["base"] if "base" in cfg else cfg
     if not isinstance(target, dict):
         raise ConfigError("sweep.base: expected an object")
-    grid = target.get("grid")
-    return grid if isinstance(grid, dict) else None
+    section = target.get(key)
+    return section if isinstance(section, dict) else {}
 
 
 def _apply_grid_overrides(cfg: dict, args) -> dict:
-    grid = _grid_section(cfg)
+    grid = _scenario_section(cfg, "grid")
     given = {"n_points": args.points, "omega_min": args.omega_min, "omega_max": args.omega_max}
-    if grid is not None:
-        grid.update((key, v) for key, v in given.items() if v is not None)
+    grid.update((key, v) for key, v in given.items() if v is not None)
     return cfg
 
 
@@ -737,10 +670,14 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     except MemoryError:
-        grid = _grid_section(cfg) if cfg else None
-        points = grid.get("n_points") if grid else None
+        points = _scenario_section(cfg, "grid").get("n_points") if cfg else None
+        modes = _scenario_section(cfg, "method").get("n_modes") if cfg else None
         size = f"a grid of {points} points" if points is not None else "this run"
-        print(f"error: {size} does not fit in memory; use fewer --points", file=sys.stderr)
+        fix = "fewer --points"
+        if modes is not None:
+            size += f" with a bath of n_modes = {modes}"
+            fix += " or a smaller n_modes"
+        print(f"error: {size} does not fit in memory; use {fix}", file=sys.stderr)
         return 2
     return 0
 

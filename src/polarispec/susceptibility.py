@@ -228,7 +228,8 @@ class VibronicModel(LineModel):
     vertical transition sits at ``omega_exc``; line ``m`` sits at
     ``omega_exc - S*omega_v + m*omega_v``.  ``m_max`` optionally caps the
     progression; by default it is chosen so the truncated Poisson tail is
-    below 1e-12 (never above 200 lines).
+    below 1e-12 (never above 201 lines).  Lines past the first weight that
+    underflows to 0.0 are left out, whatever ``m_max`` says.
     """
 
     n_emitters: float
@@ -281,17 +282,15 @@ class MultilevelModel(LineModel):
     g_scale: float
     gamma: float
 
-    def __init__(self, levels, dipoles, n_emitters, g_scale, gamma):
-        object.__setattr__(self, "levels", tuple((float(w), float(p)) for w, p in levels))
-        object.__setattr__(
-            self, "dipoles", tuple((int(y), int(z), float(a)) for y, z, a in dipoles)
-        )
-        object.__setattr__(self, "n_emitters", float(n_emitters))
-        object.__setattr__(self, "g_scale", float(g_scale))
-        object.__setattr__(self, "gamma", float(gamma))
-        self.__post_init__()
-
     def __post_init__(self):
+        for name, value in (
+            ("levels", tuple((float(w), float(p)) for w, p in self.levels)),
+            ("dipoles", tuple((int(y), int(z), float(a)) for y, z, a in self.dipoles)),
+            ("n_emitters", float(self.n_emitters)),
+            ("g_scale", float(self.g_scale)),
+            ("gamma", float(self.gamma)),
+        ):
+            object.__setattr__(self, name, value)
         if len(self.levels) < 2:
             raise ValidationError("need at least two levels")
         if not all(np.isfinite(w) for w, _ in self.levels):
@@ -378,19 +377,24 @@ def with_mirror_transitions(ts: TransitionSet) -> TransitionSet:
 
 
 def _franck_condon_weights(s: float, m_max: int | None) -> np.ndarray:
-    """Poisson weights exp(-S) S^m / m! up to a 1e-12 tail (cap 200)."""
-    count = 201 if m_max is None else m_max + 1
-    w = np.empty(count)
-    w[0] = math.exp(-s)
+    """Poisson weights exp(-S) S^m / m! for m = 0, 1, ..., ``m_max``.
+
+    Without ``m_max`` the progression stops once its tail is below 1e-12
+    (at most 201 weights).  Either way it stops at the first weight that
+    underflows to 0.0 (past the peak m = S, or at m = 0 when exp(-S) does),
+    since every later weight is a multiple of it.
+    """
+    w = [math.exp(-s)]
     total = w[0]
-    last = 0
-    for k in range(1, count):
-        w[k] = w[k - 1] * s / k
-        total += w[k]
-        last = k
+    for k in range(1, (200 if m_max is None else m_max) + 1):
+        wk = w[-1] * s / k
+        if wk == 0.0:
+            break
+        w.append(wk)
+        total += wk
         if m_max is None and 1.0 - total < 1e-12:
             break
-    return w[: last + 1]
+    return np.array(w)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +495,7 @@ def chi_from_spectral_density(
         raise ValidationError("spectral density must vanish at negative frequencies")
     if gamma_reg is None:
         gamma_reg = 2.0 * J.grid.spacing
-    if gamma_reg <= 0:
+    if not (math.isfinite(gamma_reg) and gamma_reg > 0):
         raise ValidationError("gamma_reg must be > 0")
 
     wj = _trapezoid_weights(jw.size, J.grid.spacing) * jv / math.pi

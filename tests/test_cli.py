@@ -192,7 +192,8 @@ class TestRunScenario:
         cfg["model"]["g"] = 1.0
         cfg["model"]["gamma"] = 2.0
         cfg["method"] = {"kind": "finite_n", "n_modes": 64}
-        tra_fin = run_scenario(parse_scenario(cfg))
+        with pytest.warns(AccuracyWarning):  # the line's gamma = 2 tail reaches omega <= 0
+            tra_fin = run_scenario(parse_scenario(cfg))
         cfg["method"] = "harmonic"
         tra_h = run_scenario(parse_scenario(cfg))
         assert np.abs(
@@ -375,7 +376,8 @@ class TestChiReadOnce:
 
     def test_finite_n_spectrum(self, tmp_path, reads):
         cfg = self._tabulated_config(tmp_path, {"kind": "finite_n", "n_modes": 16})
-        run_scenario(parse_scenario(cfg))
+        with pytest.warns(AccuracyWarning):  # the line sits at omega = 0
+            run_scenario(parse_scenario(cfg))
         assert len(reads) == 1
 
     def test_finite_n_bundle(self, tmp_path, reads):
@@ -587,6 +589,21 @@ class TestMainEntry:
         assert captured.err == (
             "error: a grid of 123 points does not fit in memory; use fewer --points\n"
         )
+
+    def test_bath_that_does_not_fit_names_n_modes(self, tmp_path, capsys):
+        # the largest count the bath takes: its bin edges exceed any address space
+        cfg = {
+            "cavity": {"omega_ph": 2.0, "kappa_L": 0.05, "kappa_R": 0.05},
+            "model": {"kind": "tls", "n_emitters": 1.0, "g": 1.0, "omega_exc": 2.0,
+                      "beta": "inf", "gamma": 0.3},
+            "grid": {"omega_min": -4.0, "omega_max": 8.0, "n_points": 401},
+            "method": {"kind": "finite_n", "n_modes": cli._MAX_COUNT - 1},
+        }
+        assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a grid of 401 points with a bath of n_modes = ")
+        assert f"n_modes = {cli._MAX_COUNT - 1} does not fit" in err
+        assert err.count("\n") == 1
 
 
 class TestCsvFormats:

@@ -245,6 +245,14 @@ class TestChiVibronic:
         ts = vibronic_transitions(VibronicModel(1.0, 1.0, 0.0, 0.3, 3.0, 0.1, m_max=2))
         assert len(ts) == 3
 
+    def test_progression_stops_where_the_weights_underflow(self):
+        g = make_grid(-4.0, 4.0, 4001)
+        huge, capped = (VibronicModel(1.0, 1.0, 0.0, 0.3, 3.0, 0.1, m_max=m)
+                        for m in (10**6, 300))
+        assert len(huge.transitions()) <= 300
+        assert np.array_equal(huge.chi(g).values.view(np.uint64),
+                              capped.chi(g).values.view(np.uint64))
+
     def test_line_positions(self):
         m = VibronicModel(1.0, 1.0, 0.5, 0.3, 2.0, 0.1)
         ts = vibronic_transitions(m)
@@ -460,6 +468,12 @@ class TestChiFromSpectralDensity:
         vals[50] = -1.0
         with pytest.raises(ValidationError):
             chi_from_spectral_density(RealSpectrum(g, vals), g)
+
+    @pytest.mark.parametrize("gamma_reg", [0.0, -1.0, math.inf, math.nan])
+    def test_gamma_reg_must_be_positive_and_finite(self, gamma_reg):
+        g = make_grid(0, 5, 101)
+        with pytest.raises(ValidationError, match="gamma_reg must be > 0"):
+            chi_from_spectral_density(RealSpectrum(g, np.ones(101)), g, gamma_reg)
 
     def test_weight_at_negative_frequency_rejected(self):
         g = make_grid(-5, 5, 101)
