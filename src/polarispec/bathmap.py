@@ -48,6 +48,7 @@ from .core import (
     _count,
     _readonly,
     _Record,
+    _require,
     _Samples,
     _trapezoid_weights,
     make_grid,
@@ -126,12 +127,9 @@ class BathMode(_Record):
         """Raise ValidationError unless the float arrays hold valid modes, at least one."""
         if omega.size == 0:
             raise ValidationError("bath needs at least one mode")
-        if not (np.isfinite(omega) & (omega > 0)).all():
-            raise ValidationError("mode frequency must be > 0")
-        if not (np.isfinite(coupling) & (coupling >= 0)).all():
-            raise ValidationError("mode coupling must be >= 0")
-        if not (np.isfinite(gamma) & (gamma > 0)).all():
-            raise ValidationError("mode linewidth must be > 0")
+        _require("> 0", **{"mode frequency": omega})
+        _require(">= 0", **{"mode coupling": coupling})
+        _require("> 0", **{"mode linewidth": gamma})
 
 
 class DiscretizedBath(_Columns, LineModel):
@@ -342,8 +340,7 @@ def discretize_bath(
     n_modes = _count("n_modes", n_modes, 1, _MAX_COUNT - 1)  # n_modes + 1 edges
     omega = J.grid.points
     jv = J.values
-    if np.any(jv < 0):
-        raise ValidationError("spectral density must be >= 0")
+    _require(">= 0", **{"spectral density": jv})
     nz = np.nonzero(jv > 0)[0]
     if nz.size == 0:
         raise ValidationError("spectral density is identically zero")
@@ -366,8 +363,7 @@ def discretize_bath(
     mids = 0.5 * (edges[:-1] + edges[1:])
     if gamma_mode is None:
         gamma_mode = (hi - lo) / n_modes
-    if not (np.isfinite(gamma_mode) and gamma_mode > 0):
-        raise ValidationError("gamma_mode must be > 0")
+    _require("> 0", gamma_mode=gamma_mode)
     return DiscretizedBath.from_arrays(
         mids, np.sqrt(np.maximum(coupling_sq, 0.0)), np.full(n_modes, float(gamma_mode))
     )

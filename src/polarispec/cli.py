@@ -11,15 +11,17 @@ A scenario is one JSON document::
       "outputs": [{"csv": "spectra.csv", "svg": "spectra.svg"}]
     }
 
-Model kinds: ``tls``, ``disordered_tls`` (adds a ``disorder`` object),
-``vibronic``, ``multilevel`` (exactly three levels), ``tabulated_chi``
-(``path`` to a chi CSV, or null for an empty cavity).  ``method`` is
-either the string ``"harmonic"`` or ``{"kind": "finite_n", "n_modes": M}``
+Model kinds: ``tls``, ``disordered_tls`` (a ``disorder`` object, whose
+``center`` is the mean energy, replaces ``omega_exc``), ``vibronic``,
+``multilevel`` (any ladder; each dipole lists its lower level first),
+``tabulated_chi`` (``path`` to a chi CSV, or null for an empty cavity).
+``method`` is ``"harmonic"`` or ``{"kind": "finite_n", "n_modes": M}``
 with an optional ``gamma_mode``; ``finite_n`` feeds the chi of the bath of
 :func:`polarispec.bathmap.surrogate_bath` to the same T/R/A formula.
 ``beta`` may be the string ``"inf"`` since JSON has no infinity literal.
 Unknown keys anywhere are hard errors: a typo in a physics parameter must
-not silently fall back to a default.
+not silently fall back to a default.  Each object checks its rules when
+it is built, so a parsed scenario has passed every model rule and runs.
 
 A sweep is one JSON document ``{"base": scenario, "parameter": "model.beta",
 "values": [...]}``.  The dotted ``parameter`` path is resolved on the raw
@@ -68,6 +70,7 @@ from .core import (
     NumericalError,
     TraSpectra,
     ValidationError,
+    _require,
     local_maxima,
 )
 from .fileio import TabulatedChi
@@ -115,6 +118,10 @@ class MethodSpec:
     kind: str
     n_modes: int | None = None
     gamma_mode: float | None = None
+
+    def __post_init__(self):
+        if self.gamma_mode is not None:
+            _require("> 0", gamma_mode=self.gamma_mode)
 
 
 @dataclass(frozen=True)
@@ -502,8 +509,8 @@ def _tls(omega_exc: float) -> dict:
 
 
 def _disordered(kind: str) -> dict:
-    return {"kind": "disordered_tls", "n_emitters": 1.0, "g": 1.5, "omega_exc": 0.0,
-            "gamma": 0.1, "disorder": {"kind": kind, "center": 0.0, "sigma": 1.0}}
+    return {"kind": "disordered_tls", "n_emitters": 1.0, "g": 1.5, "gamma": 0.1,
+            "disorder": {"kind": kind, "center": 0.0, "sigma": 1.0}}
 
 
 def _three_level(*populations: float) -> dict:

@@ -15,6 +15,7 @@ ever built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -114,9 +115,25 @@ _MAX_COUNT = np.iinfo(np.intp).max // 16
 
 def _count(name: str, n, low: int, high: int = _MAX_COUNT) -> int:
     """``n`` as an int; ValidationError unless it is an integer in [low, high]."""
-    if int(n) != n or not low <= n <= high:
+    if not (low <= n <= high and int(n) == n):  # NaN and inf fail the range first
         raise ValidationError(f"{name} must be an integer in [{low}, {high}]")
     return int(n)
+
+
+# each rule's test of v; _require adds v < inf, so every rule refuses inf and NaN
+_RULES = {"finite": lambda v: v > -math.inf, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0}
+
+
+def _require(rule: str, **values) -> None:
+    """ValidationError("<name> must be <rule>") unless each float or array passes ``rule``."""
+    for name, v in values.items():
+        if isinstance(v, float):  # a float skips numpy's per-call cost
+            ok = _RULES[rule](v) and v < math.inf
+        else:
+            v = np.asarray(v, dtype=float)
+            ok = (_RULES[rule](v) & (v < math.inf)).all()
+        if not ok:
+            raise ValidationError(f"{name} must be {rule}")
 
 
 @dataclass(frozen=True)
@@ -136,8 +153,7 @@ class FrequencyGrid:
     _points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega_min) and np.isfinite(self.omega_max)):
-            raise ValidationError("grid bounds must be finite")
+        _require("finite", **{"grid bounds": (self.omega_min, self.omega_max)})
         if not self.omega_min < self.omega_max:
             raise ValidationError(
                 f"omega_min ({self.omega_min}) must be strictly below "
@@ -167,8 +183,7 @@ class TimeGrid:
     _times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.t_max) and self.t_max > 0):
-            raise ValidationError("t_max must be finite and > 0")
+        _require("> 0", t_max=self.t_max)
         object.__setattr__(self, "n_points", _count("n_points", self.n_points, 2))
         ts = np.linspace(0.0, self.t_max, self.n_points)
         ts.flags.writeable = False

@@ -44,7 +44,7 @@ from .core import (
     NumericalError,
     RealSpectrum,
     TraSpectra,
-    ValidationError,
+    _require,
 )
 
 __all__ = [
@@ -70,13 +70,9 @@ class CavityParams:
     kappa_R: float
 
     def __post_init__(self):
-        if not np.isfinite(self.omega_ph):
-            raise ValidationError("omega_ph must be finite")
-        for name, k in (("kappa_L", self.kappa_L), ("kappa_R", self.kappa_R)):
-            if not (np.isfinite(k) and k >= 0):
-                raise ValidationError(f"{name} must be >= 0")
-        if self.kappa <= 0:
-            raise ValidationError("kappa_L + kappa_R must be > 0")
+        _require("finite", omega_ph=self.omega_ph)
+        _require(">= 0", kappa_L=self.kappa_L, kappa_R=self.kappa_R)
+        _require("> 0", **{"kappa_L + kappa_R": self.kappa})
 
     @property
     def kappa(self) -> float:

@@ -28,6 +28,7 @@ symmetry ``chi(-w) = conj(chi(w))`` remains expressible.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +43,9 @@ from .core import (
     ValidationError,
     _chirp_z,
     _Columns,
+    _count,
     _Record,
+    _require,
     _trapezoid_weights,
 )
 
@@ -94,16 +97,13 @@ class Transition(_Record):
     @staticmethod
     def check(omega_zy, weight, p_y, p_z, gamma) -> None:
         """Raise ValidationError unless every line of the float arrays is valid."""
-        if not np.isfinite(omega_zy).all():
-            raise ValidationError("transition frequency must be finite")
-        if not (np.isfinite(weight) & (weight >= 0)).all():
-            raise ValidationError("transition weight must be >= 0")
+        _require("finite", **{"transition frequency": omega_zy})
+        _require(">= 0", **{"transition weight": weight})
         for name, p in (("p_y", p_y), ("p_z", p_z)):
             bad = ~((p >= 0) & (p <= 1))
             if bad.any():
                 raise ValidationError(f"{name} must lie in [0, 1], got {p[bad][0]}")
-        if not (np.isfinite(gamma) & (gamma > 0)).all():
-            raise ValidationError("gamma must be > 0")
+        _require("> 0", gamma=gamma)
 
 
 class TransitionSet(_Columns):
@@ -149,16 +149,11 @@ class TlsEnsemble(LineModel):
     gamma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.n_emitters) and self.n_emitters > 0):
-            raise ValidationError("n_emitters must be > 0")
-        if not (np.isfinite(self.g) and self.g >= 0):
-            raise ValidationError("g must be >= 0")
-        if not np.isfinite(self.omega_exc):
-            raise ValidationError("omega_exc must be finite")
+        _require("> 0", n_emitters=self.n_emitters, gamma=self.gamma)
+        _require(">= 0", g=self.g)
+        _require("finite", omega_exc=self.omega_exc)
         if math.isnan(self.beta) or self.beta < 0:
             raise ValidationError("beta must be >= 0 (math.inf for T = 0)")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValidationError("gamma must be > 0")
 
     @property
     def collective_coupling_sq(self) -> float:
@@ -188,19 +183,16 @@ class DisorderSpec:
             raise ValidationError(
                 f"disorder kind must be 'gaussian' or 'lorentzian', got {self.kind!r}"
             )
-        if not np.isfinite(self.center):
-            raise ValidationError("disorder center must be finite")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError("sigma must be > 0")
+        _require("finite", **{"disorder center": self.center})
+        _require("> 0", sigma=self.sigma)
 
 
 @dataclass(frozen=True)
 class DisorderedTls:
-    """Zero-temperature two-level ensemble with disordered excitation energies."""
+    """Zero-temperature two-level ensemble, excitation energies spread by ``disorder``."""
 
     n_emitters: float
     g: float
-    omega_exc: float
     gamma: float
     disorder: DisorderSpec
 
@@ -209,7 +201,7 @@ class DisorderedTls:
 
     @property
     def base(self) -> TlsEnsemble:
-        return TlsEnsemble(self.n_emitters, self.g, self.omega_exc, math.inf, self.gamma)
+        return TlsEnsemble(self.n_emitters, self.g, self.disorder.center, math.inf, self.gamma)
 
     def transitions(self) -> None:
         """None: a continuous distribution of lines has no finite line list."""
@@ -227,9 +219,9 @@ class VibronicModel(LineModel):
     Poissonian (Franck-Condon) intensities exp(-S) S^m / m!.  The
     vertical transition sits at ``omega_exc``; line ``m`` sits at
     ``omega_exc - S*omega_v + m*omega_v``.  ``m_max`` optionally caps the
-    progression; by default it is chosen so the truncated Poisson tail is
-    below 1e-12 (never above 201 lines).  Lines past the first weight that
-    underflows to 0.0 are left out, whatever ``m_max`` says.
+    progression; by default it runs until the Poisson tail is below 1e-12.
+    Lines past the first weight that underflows to 0.0 are left out, whatever
+    ``m_max`` says; the first, exp(-S), must be a normal float (S < 708.3964).
     """
 
     n_emitters: float
@@ -241,12 +233,11 @@ class VibronicModel(LineModel):
     m_max: int | None = None
 
     def __post_init__(self):
-        # the electronic line's parameters are those of a two-level ensemble
-        TlsEnsemble(self.n_emitters, self.g, self.omega_exc, math.inf, self.gamma)
-        if not (np.isfinite(self.omega_v) and self.omega_v > 0):
-            raise ValidationError("omega_v must be > 0")
-        if not (np.isfinite(self.huang_rhys) and self.huang_rhys >= 0):
-            raise ValidationError("huang_rhys must be >= 0")
+        _require("> 0", n_emitters=self.n_emitters, omega_v=self.omega_v, gamma=self.gamma)
+        _require(">= 0", g=self.g, huang_rhys=self.huang_rhys)
+        _require("finite", omega_exc=self.omega_exc)
+        if math.exp(-self.huang_rhys) < sys.float_info.min:
+            raise ValidationError("huang_rhys must be < 708.3964: exp(-huang_rhys) underflows")
         if self.m_max is not None and not (
             isinstance(self.m_max, (int, np.integer)) and 0 <= self.m_max < _MAX_COUNT
         ):  # m_max + 1 weights
@@ -270,10 +261,11 @@ class VibronicModel(LineModel):
 class MultilevelModel(LineModel):
     """Identical multi-level emitters with explicit stationary populations.
 
-    ``levels`` lists (energy, population) pairs; ``dipoles`` lists
-    (level_low, level_high, amplitude) triples using 1-based level
-    indices.  Populations must sum to one.  :meth:`transitions`, and so
-    ``chi``, needs exactly three levels.
+    ``levels`` lists (energy, population) pairs, any number of them;
+    ``dipoles`` lists at least one (level_low, level_high, amplitude)
+    triple using 1-based integer level indices, each going from a lower
+    to a higher energy, so every line is uphill.  Populations must sum
+    to one.  All of this is checked when the model is built.
     """
 
     levels: tuple[tuple[float, float], ...]
@@ -283,56 +275,41 @@ class MultilevelModel(LineModel):
     gamma: float
 
     def __post_init__(self):
+        n = len(self.levels)
+        dipoles = tuple(
+            (_count("dipole index", y, 1, n), _count("dipole index", z, 1, n), float(a))
+            for y, z, a in self.dipoles
+        )
         for name, value in (
             ("levels", tuple((float(w), float(p)) for w, p in self.levels)),
-            ("dipoles", tuple((int(y), int(z), float(a)) for y, z, a in self.dipoles)),
+            ("dipoles", dipoles),
             ("n_emitters", float(self.n_emitters)),
             ("g_scale", float(self.g_scale)),
             ("gamma", float(self.gamma)),
         ):
             object.__setattr__(self, name, value)
-        if len(self.levels) < 2:
-            raise ValidationError("need at least two levels")
-        if not all(np.isfinite(w) for w, _ in self.levels):
-            raise ValidationError("level energies must be finite")
+        _require("finite", **{"level energies": [w for w, _ in self.levels]})
         pops = np.array([p for _, p in self.levels])
         if not np.all((pops >= 0) & (pops <= 1)):
             raise ValidationError("populations must lie in [0, 1]")
         if abs(pops.sum() - 1.0) > 1e-12:
-            raise ValidationError(
-                f"populations must sum to 1 (got {pops.sum()!r})"
-            )
-        if not all(np.isfinite(a) for _, _, a in self.dipoles):
-            raise ValidationError("dipole amplitudes must be finite")
+            raise ValidationError(f"populations must sum to 1 (got {pops.sum()!r})")
+        if not self.dipoles:
+            raise ValidationError("need at least one dipole")
+        _require("finite", **{"dipole amplitudes": [a for _, _, a in self.dipoles]})
         for y, z, _ in self.dipoles:
-            if not (1 <= y <= len(self.levels) and 1 <= z <= len(self.levels)):
-                raise ValidationError(f"dipole pair ({y},{z}) out of range")
-            if y == z:
-                raise ValidationError("dipole pair must connect distinct levels")
-        if not (np.isfinite(self.n_emitters) and self.n_emitters > 0):
-            raise ValidationError("n_emitters must be > 0")
-        if not np.isfinite(self.g_scale):
-            raise ValidationError("g_scale must be finite")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValidationError("gamma must be > 0")
+            if not self.levels[y - 1][0] < self.levels[z - 1][0]:
+                raise ValidationError(f"dipole ({y},{z}) must go from a lower to a higher level")
+        _require("> 0", n_emitters=self.n_emitters, gamma=self.gamma)
+        _require("finite", g_scale=self.g_scale)
 
     def transitions(self) -> TransitionSet:
-        """Uphill transitions of a three-level ensemble."""
-        if len(self.levels) != 3:
-            raise ValidationError("exactly three levels required")
-        scale = self.n_emitters * self.g_scale**2
-        transitions = []
-        for y, z, amp in self.dipoles:
-            w_y, p_y = self.levels[y - 1]
-            w_z, p_z = self.levels[z - 1]
-            omega_zy = w_z - w_y
-            if omega_zy <= 0:
-                # builders stay in the rotating-wave sector; list pairs low-high
-                continue
-            transitions.append((omega_zy, scale * amp**2, p_y, p_z, self.gamma))
-        if not transitions:
-            raise ValidationError("no uphill transition found in dipole list")
-        return TransitionSet.from_arrays(*zip(*transitions))
+        """One uphill transition per dipole, in the order of ``dipoles``."""
+        lv, scale = self.levels, self.n_emitters * self.g_scale**2
+        return TransitionSet.from_arrays(*zip(*(
+            (lv[z - 1][0] - lv[y - 1][0], scale * a**2, lv[y - 1][1], lv[z - 1][1], self.gamma)
+            for y, z, a in self.dipoles
+        )))
 
 
 # the transition builders and line-model chi under their function names
@@ -379,14 +356,13 @@ def with_mirror_transitions(ts: TransitionSet) -> TransitionSet:
 def _franck_condon_weights(s: float, m_max: int | None) -> np.ndarray:
     """Poisson weights exp(-S) S^m / m! for m = 0, 1, ..., ``m_max``.
 
-    Without ``m_max`` the progression stops once its tail is below 1e-12
-    (at most 201 weights).  Either way it stops at the first weight that
-    underflows to 0.0 (past the peak m = S, or at m = 0 when exp(-S) does),
-    since every later weight is a multiple of it.
+    Without ``m_max`` the progression stops once its tail is below 1e-12.
+    Either way it stops at the first weight that underflows to 0.0 (past
+    the peak m = S), since every later weight is a multiple of it.
     """
     w = [math.exp(-s)]
     total = w[0]
-    for k in range(1, (200 if m_max is None else m_max) + 1):
+    for k in range(1, _MAX_COUNT if m_max is None else m_max + 1):
         wk = w[-1] * s / k
         if wk == 0.0:
             break
@@ -454,6 +430,8 @@ def chi_disordered(
 ) -> ComplexSpectrum:
     """Ensemble with a distribution of excitation energies, at T = 0.
 
+    The line is centred on ``d.center``, the mean excitation energy; ``m``
+    gives the coupling and the homogeneous linewidth.
     Lorentzian disorder folds into the homogeneous linewidth exactly
     (gamma -> gamma + sigma).  Gaussian disorder is the Voigt kernel,
     evaluated through the Faddeeva function.
@@ -489,14 +467,12 @@ def chi_from_spectral_density(
     """
     jv = J.values
     jw = J.grid.points
-    if np.any(jv < 0):
-        raise ValidationError("spectral density must be >= 0 everywhere")
+    _require(">= 0", **{"spectral density": jv})
     if np.any(jv[jw < 0] != 0):
         raise ValidationError("spectral density must vanish at negative frequencies")
     if gamma_reg is None:
         gamma_reg = 2.0 * J.grid.spacing
-    if not (math.isfinite(gamma_reg) and gamma_reg > 0):
-        raise ValidationError("gamma_reg must be > 0")
+    _require("> 0", gamma_reg=gamma_reg)
 
     wj = _trapezoid_weights(jw.size, J.grid.spacing) * jv / math.pi
     poles = ((x, gamma_reg, s) for x, s in zip(jw.tolist(), wj.tolist()))

@@ -116,6 +116,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_config("fig9z")
 
+    def test_disordered_model_has_no_omega_exc(self):
+        # the line sits at disorder.center; an omega_exc key would do nothing
+        cfg = preset_config("fig3a")
+        cfg["model"]["omega_exc"] = 2.0
+        with pytest.raises(ConfigError, match=r"^model\.omega_exc: unknown key$"):
+            parse_scenario(cfg)
+
+    @pytest.mark.parametrize("gamma_mode", [0.0, math.nan, math.inf])
+    def test_gamma_mode_checked_when_parsed(self, gamma_mode):
+        cfg = preset_config("fig2a")
+        cfg["method"] = {"kind": "finite_n", "n_modes": 8, "gamma_mode": gamma_mode}
+        with pytest.raises(ConfigError, match=r"^method: gamma_mode must be > 0$"):
+            parse_scenario(cfg)
+
     def test_sweep_parameter_must_resolve(self):
         cfg = preset_config("fig2b")
         cfg["parameter"] = "model.nonsense"
@@ -232,6 +246,45 @@ class TestFiniteNDroppedWeight:
                 run_scenario(parse_scenario(cfg))
 
 
+def _numeric_keys(d, path=()):
+    """Key paths (tuples) of the numbers in a config object, nested objects included."""
+    for key, v in d.items():
+        if isinstance(v, dict):
+            yield from _numeric_keys(v, (*path, key))
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield (*path, key)
+
+
+def _model_keys():
+    """(preset, key path) for each numeric model key of each preset with chi != 0."""
+    params = []
+    for name in preset_names():
+        cfg = preset_config(name)
+        s = parse_scenario(cfg.get("base", cfg))
+        if not s.model.chi(s.grid).values.any():
+            continue  # empty_cavity, and fig5c whose saturated lines cancel exactly
+        params += [pytest.param(name, key, id=f"{name}-{'.'.join(key)}")
+                   for key in _numeric_keys(cfg.get("base", cfg)["model"])]
+    return params
+
+
+class TestEveryModelKeyMatters:
+    @pytest.mark.parametrize("preset, key", _model_keys())
+    def test_changing_the_key_changes_chi(self, preset, key):
+        cfg = preset_config(preset)
+        cfg = cfg.get("base", cfg)
+        cfg["grid"]["n_points"] = 401
+        before = parse_scenario(cfg)
+        *parents, last = key
+        section = cfg["model"]
+        for k in parents:
+            section = section[k]
+        section[last] += 1e-3 * (1.0 + abs(section[last]))
+        after = parse_scenario(cfg)
+        assert not np.array_equal(after.model.chi(after.grid).values,
+                                  before.model.chi(before.grid).values)
+
+
 class TestSweep:
     def test_single_value_sweep_matches_scenario(self, tmp_path):
         cfg = preset_config("fig2b")
@@ -273,15 +326,26 @@ class TestSweep:
         counts = [len(local_maxima(t.transmission)) for t in results]
         assert counts == [4, 3, 1]
 
-    def test_invalid_value_fails_before_any_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "parameter, values, message",
+        [
+            pytest.param("model.beta", ["inf", 1.0, -1.0],
+                         "sweep.values[2]: model: beta must be >= 0", id="beta"),
+            pytest.param("method.gamma_mode", [0.2, -1.0],
+                         "sweep.values[1]: method: gamma_mode must be > 0", id="gamma_mode"),
+        ],
+    )
+    def test_invalid_value_fails_before_any_output(self, tmp_path, capsys, parameter, values,
+                                                   message):
         cfg = preset_config("fig2b")
         cfg["base"]["grid"]["n_points"] = 501
-        cfg["values"] = ["inf", 1.0, -1.0]
+        cfg["base"]["method"] = {"kind": "finite_n", "n_modes": 16, "gamma_mode": 0.2}
+        cfg["parameter"], cfg["values"] = parameter, values
         outdir = tmp_path / "out"
         argv = ["sweep", "--config", _write_config(tmp_path, cfg), "--outdir", str(outdir)]
         assert main(argv) == 2
-        assert "sweep.values[2]: model: beta must be >= 0" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("sweep_*.csv"))
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_base_errors_name_the_base(self):
         cfg = preset_config("fig2b")
@@ -604,6 +668,19 @@ class TestMainEntry:
         assert err.startswith("error: a grid of 401 points with a bath of n_modes = ")
         assert f"n_modes = {cli._MAX_COUNT - 1} does not fit" in err
         assert err.count("\n") == 1
+
+    def test_four_level_ladder_runs_and_a_high_low_dipole_is_refused(self, tmp_path, capsys):
+        cfg = preset_config("fig5a")
+        cfg["model"]["levels"] = [[0.0, 0.5], [1.0, 0.3], [2.5, 0.15], [4.0, 0.05]]
+        cfg["model"]["dipoles"] = [[1, 2, 1.0], [2, 3, 0.5], [3, 4, 0.8]]
+        argv = ["spectrum", "--config", _write_config(tmp_path, cfg), "--points", "401"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("transmission maxima: ")
+        cfg["model"]["dipoles"][1] = [3, 2, 0.5]
+        assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: model: dipole (3,2) must go from a lower to a higher level\n"
+        )
 
 
 class TestCsvFormats:

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +14,7 @@ from polarispec.core import (
     TimeGrid,
     TraSpectra,
     ValidationError,
+    _require,
     local_maxima,
     make_grid,
 )
@@ -74,6 +78,25 @@ class TestTimeGrid:
             TimeGrid(1.0, 1)
         with pytest.raises(ValidationError):
             TimeGrid(1.0, 2**63)
+
+
+class TestRequire:
+    @pytest.mark.parametrize(
+        "rule, good, bad",
+        [
+            ("finite", [-1e308, -0.0, 2.0], [math.inf, -math.inf, math.nan]),
+            ("> 0", [5e-324, 2.0], [0.0, -0.0, -1.0, math.inf, math.nan]),
+            (">= 0", [0.0, -0.0, 2.0], [-5e-324, math.inf, math.nan]),
+        ],
+    )
+    def test_a_float_and_an_array_get_the_same_verdict(self, rule, good, bad):
+        _require(rule, floats=np.array(good), none=np.array([]), ints=[1, 2])
+        for v in good:
+            _require(rule, x=v, x64=np.float64(v))
+        for v in bad:
+            for form in (v, np.float64(v), np.array([good[-1], v]), [v]):
+                with pytest.raises(ValidationError, match=f"^x must be {re.escape(rule)}$"):
+                    _require(rule, ok=good[-1], x=form)
 
 
 class TestSpectrumContainers:

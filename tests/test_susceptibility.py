@@ -31,6 +31,7 @@ from polarispec.susceptibility import (
     chi_vibronic,
     faddeeva,
     thermal_factor,
+    thermal_populations,
     tls_transitions,
     vibronic_transitions,
     with_mirror_transitions,
@@ -253,6 +254,23 @@ class TestChiVibronic:
         assert np.array_equal(huge.chi(g).values.view(np.uint64),
                               capped.chi(g).values.view(np.uint64))
 
+    @pytest.mark.parametrize("s, lines", [(3.0, 23), (30.0, 77)])
+    def test_preset_sized_progressions_keep_their_lines(self, s, lines):
+        assert len(VibronicModel(1.0, 1.0, 0.0, 0.3, s, 0.1).transitions()) == lines
+
+    @pytest.mark.parametrize("s", [190.0, 400.0, 708.0])
+    def test_default_progression_keeps_the_weight_of_a_large_huang_rhys(self, s):
+        # a 201-line cap kept 0.778 of the weight at S = 190 and 1.8e-110 at 700
+        ts = VibronicModel(1.0, 1.0, 0.0, 0.3, s, 0.1).transitions()
+        assert abs(ts.weight.sum() - 1.0) <= 1e-12
+        assert ts.weight[-1] < 1e-12 < ts.weight.max()
+
+    @pytest.mark.parametrize("s", [709.0, 800.0, 1e6])
+    def test_huang_rhys_whose_first_weight_underflows_is_refused(self, s):
+        message = r"^huang_rhys must be < 708\.3964: exp\(-huang_rhys\) underflows$"
+        with pytest.raises(ValidationError, match=message):
+            VibronicModel(1.0, 1.0, 0.0, 0.3, s, 0.1)
+
     def test_line_positions(self):
         m = VibronicModel(1.0, 1.0, 0.5, 0.3, 2.0, 0.1)
         ts = vibronic_transitions(m)
@@ -297,17 +315,53 @@ class TestChiThreeLevel:
         with pytest.raises(ValidationError):
             self._model((0.7, 0.2, 0.2))
 
-    def test_exactly_three_levels_required(self):
+    def test_two_levels_give_the_chi_of_the_two_level_line(self):
+        tls = TlsEnsemble(2.0, 0.7, 1.5, 2.0, 0.3)
+        p_g, p_e = thermal_populations(tls.beta, tls.omega_exc)
+        m = MultilevelModel([(0.0, p_g), (1.5, p_e)], [(1, 2, 1.0)], 2.0, 0.7, 0.3)
+        g = make_grid(-1, 4, 501)
+        assert np.array_equal(chi_multilevel(m.transitions(), g).values.view(np.uint64),
+                              chi_multilevel(tls.transitions(), g).values.view(np.uint64))
+
+    def test_four_level_ladder_matches_its_transition_set(self):
+        pops = (0.5, 0.3, 0.15, 0.05)
         m = MultilevelModel(
-            levels=[(0.0, 0.6), (1.0, 0.4)],
-            dipoles=[(1, 2, 1.0)],
-            n_emitters=1.0,
-            g_scale=1.0,
-            gamma=0.3,
+            levels=list(zip((0.0, 1.0, 2.5, 4.0), pops)),
+            dipoles=[(1, 2, 1.0), (2, 3, 0.5), (3, 4, 0.8), (1, 4, 0.3)],
+            n_emitters=2.0,
+            g_scale=0.5,
+            gamma=0.2,
         )
-        g = make_grid(-1, 2, 31)
-        with pytest.raises(ValidationError):
-            chi_three_level(m, g)
+        by_hand = TransitionSet([
+            Transition(1.0, 0.5, 0.5, 0.3, 0.2),
+            Transition(1.5, 0.5 * 0.5**2, 0.3, 0.15, 0.2),
+            Transition(1.5, 0.5 * 0.8**2, 0.15, 0.05, 0.2),
+            Transition(4.0, 0.5 * 0.3**2, 0.5, 0.05, 0.2),
+        ])
+        assert m.transitions().transitions == by_hand.transitions
+        g = make_grid(-1, 5, 601)
+        assert np.array_equal(m.chi(g).values, chi_multilevel(by_hand, g).values)
+
+    @pytest.mark.parametrize(
+        "dipole, message",
+        [
+            ((2, 1, 1.0), r"^dipole \(2,1\) must go from a lower to a higher level$"),
+            ((1, 1, 1.0), r"^dipole \(1,1\) must go from a lower to a higher level$"),
+            ((1.9, 2, 1.0), r"^dipole index must be an integer in \[1, 3\]$"),
+            ((1, 4, 1.0), r"^dipole index must be an integer in \[1, 3\]$"),
+            ((math.nan, 2, 1.0), r"^dipole index must be an integer in \[1, 3\]$"),
+            ((1, 2, math.inf), r"^dipole amplitudes must be finite$"),
+        ],
+        ids=["high-low", "one-level", "fractional", "out-of-range", "nan-index", "inf-amplitude"],
+    )
+    def test_dipole_that_is_no_uphill_pair_is_refused(self, dipole, message):
+        dipoles = [(1, 2, 1.0), dipole, (1, 3, 1.0)]
+        with pytest.raises(ValidationError, match=message):
+            MultilevelModel([(0.0, 0.7), (1.0, 0.2), (3.0, 0.1)], dipoles, 1.0, 1.0, 0.3)
+
+    def test_model_needs_a_dipole(self):
+        with pytest.raises(ValidationError, match="^need at least one dipole$"):
+            MultilevelModel([(0.0, 0.7), (1.0, 0.3)], [], 1.0, 1.0, 0.3)
 
 
 
