@@ -37,12 +37,14 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    _BLOCK,
     _MAX_COUNT,
     AccuracyWarning,
     FrequencyGrid,
     RealSpectrum,
     TimeGrid,
     ValidationError,
+    _blocks,
     _chirp_z,
     _Columns,
     _count,
@@ -245,6 +247,12 @@ def effective_temperature(
 
     The set must be in uphill form (all transition frequencies positive);
     emission content is carried by the final-state populations.
+
+    The grid runs in blocks of ``core._BLOCK`` points, each through the
+    whole per-point chain (line sums, ratio, inversion check, logarithm,
+    division by w, dead points), so its buffers stay in cache; each point
+    adds its lines in list order, so no value depends on the block it
+    falls in.  An inversion anywhere on the grid raises.
     """
     if len(ts) == 0:
         raise ValidationError("transition set is empty")
@@ -256,27 +264,37 @@ def effective_temperature(
             "emission weights are taken from p_z"
         )
     omega = grid.points
-    num = np.zeros(grid.n_points)
-    den = np.zeros(grid.n_points)
-    kern, share = np.empty((2, grid.n_points))  # one line's Lorentzian, and its share
-    lines = (ts.omega_zy, ts.weight, ts.p_y, ts.p_z, ts.gamma)
-    for w0, wt, p_y, p_z, g in zip(*(a.tolist() for a in lines)):
-        np.subtract(omega, w0, out=kern)
-        np.square(kern, out=kern)
-        kern += 0.25 * g**2
-        np.divide(wt * g, kern, out=kern)
-        num += np.multiply(kern, p_y, out=share)
-        den += np.multiply(kern, p_z, out=share)
+    lines = [
+        (w0, 0.25 * g**2, wt * g, p_y, p_z)
+        for w0, wt, p_y, p_z, g in zip(
+            *(a.tolist() for a in (ts.omega_zy, ts.weight, ts.p_y, ts.p_z, ts.gamma))
+        )
+    ]
+    vals = np.empty(grid.n_points)
+    # per block: the two sums, one line's Lorentzian and its share
+    num, den, kern, share = np.empty((4, min(grid.n_points, _BLOCK)))
+    for sl in _blocks(grid.n_points):
+        w = omega[sl]
+        nb, db, kb, sb = num[: w.size], den[: w.size], kern[: w.size], share[: w.size]
+        nb.fill(0.0)
+        db.fill(0.0)
+        for w0, half_sq, height, p_y, p_z in lines:
+            np.subtract(w, w0, out=kb)
+            np.square(kb, out=kb)
+            kb += half_sq
+            np.divide(height, kb, out=kb)
+            nb += np.multiply(kb, p_y, out=sb)
+            db += np.multiply(kb, p_z, out=sb)
 
-    # points without emission weight are set to +inf after the division
-    dead = den < 1e-300
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.divide(num, den, out=num)
-    if ((ratio < 1.0 - 1e-10) & ~dead).any():
-        raise ValidationError(_INVERSION_MSG)
-    vals = np.log(np.maximum(ratio, 1.0, out=ratio), out=ratio)
-    vals /= omega
-    vals[dead] = math.inf
+        # points without emission weight are set to +inf after the division
+        dead = db < 1e-300
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = np.divide(nb, db, out=nb)
+        if ((ratio < 1.0 - 1e-10) & ~dead).any():
+            raise ValidationError(_INVERSION_MSG)
+        out = np.log(np.maximum(ratio, 1.0, out=ratio), out=vals[sl])
+        out /= w
+        out[dead] = math.inf
     return EffectiveTemperature(grid, vals)
 
 

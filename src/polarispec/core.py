@@ -7,10 +7,12 @@ construction and safe to share across threads; the operations are pure
 functions of their inputs.
 
 The transforms weight their samples with ``_trapezoid_weights``.  The
-pole sums add one pole at a time; the Fourier sums over two uniform grids
-(correlation <-> chi, J and C(t)) are one chirp-z transform each,
-``_chirp_z``, in O((N+K) log(N+K)) with ``numpy.fft``; no dense block is
-ever built.
+pointwise kernels (pole sum, effective-temperature line sum, Faddeeva
+polynomial) run a large grid in blocks of ``_BLOCK`` points
+(``_blocks``) and add one pole or term at a time; the Fourier sums over
+two uniform grids (correlation <-> chi, J and C(t)) are one chirp-z
+transform each, ``_chirp_z``, in O((N+K) log(N+K)) with ``numpy.fft``;
+no dense block is ever built.
 """
 
 from __future__ import annotations
@@ -273,6 +275,17 @@ class TraSpectra:
     @property
     def grid(self) -> FrequencyGrid:
         return self.transmission.grid
+
+
+# grid points per block of the pointwise kernels: a block's float and complex
+# temporaries (64 KiB and 128 KiB) stay in a core's L2 cache, where a whole
+# large grid streams every temporary through memory once per pole or term
+_BLOCK = 8192
+
+
+def _blocks(n: int):
+    """Slices covering ``range(n)`` in order, each of at most ``_BLOCK`` points."""
+    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
 
 
 def _trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:

@@ -35,12 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _BLOCK,
     _MAX_COUNT,
     AccuracyWarning,
     ComplexSpectrum,
     FrequencyGrid,
     RealSpectrum,
     ValidationError,
+    _blocks,
     _chirp_z,
     _Columns,
     _count,
@@ -380,19 +382,30 @@ def _franck_condon_weights(s: float, m_max: int | None) -> np.ndarray:
 def _pole_sum(omega: np.ndarray, poles) -> np.ndarray:
     """-sum_p s_p / (omega - c_p + i*w_p/2) over ``(centre, width, strength)`` poles.
 
-    Adds one pole at a time in iteration order, so a value depends only
-    on its own frequency and the pole order, never on the grid around it.
-    Each pole is written through one float and one complex buffer, so the
-    loop allocates nothing per pole.
+    Runs the grid in blocks of ``core._BLOCK`` points, so the block's two
+    complex buffers stay in cache while every pole passes over them, and
+    allocates nothing per pole.  Within a block, omega + i*w/2 is built
+    once per run of poles of equal width w; a pole then costs one
+    subtract, one divide and one subtract.  (omega + i*w/2) - c has
+    exactly the parts of (omega - c) + i*w/2, and each point adds its
+    poles one at a time in iteration order, so a value depends only on
+    its own frequency and the pole order, never on the grid around it or
+    on the block it falls in.
     """
+    poles = list(poles)
     vals = np.zeros(omega.size, dtype=complex)
-    x = np.empty(omega.size)
-    z = np.empty(omega.size, dtype=complex)
-    for c, w, s in poles:
-        np.subtract(omega, c, out=x)
-        np.add(x, 0.5j * w, out=z)
-        np.divide(s, z, out=z)
-        np.subtract(vals, z, out=vals)
+    base, z = np.empty((2, min(omega.size, _BLOCK)), dtype=complex)
+    for sl in _blocks(omega.size):
+        acc = vals[sl]
+        b, zb = base[: acc.size], z[: acc.size]
+        width = None
+        for c, w, s in poles:
+            if w != width:
+                np.add(omega[sl], 0.5j * w, out=b)
+                width = w
+            np.subtract(b, c, out=zb)
+            np.divide(s, zb, out=zb)
+            np.subtract(acc, zb, out=acc)
     return vals
 
 
@@ -408,7 +421,8 @@ def chi_multilevel(ts: TransitionSet, grid: FrequencyGrid) -> ComplexSpectrum:
 
     The pole sum with one pole (w_t, gamma_t, (p_y - p_z) * weight_t) per
     transition, added in list order, so results are bitwise reproducible
-    regardless of how callers split or parallelize over frequency.
+    regardless of how callers split or parallelize over frequency, and of
+    the blocks :func:`_pole_sum` runs a large grid in.
     """
     if len(ts) == 0:
         raise ValidationError("transition set is empty")
@@ -566,16 +580,32 @@ def faddeeva(z):
     Rational approximation with a fixed coefficient table; relative error
     well below 1e-6 across the upper half plane (validated against
     independent erfc evaluations in the test suite).  Accepts scalars or
-    arrays; lower-half-plane input is rejected.
+    arrays of any shape; lower-half-plane input is rejected.
+
+    The points run in blocks of ``core._BLOCK``, each through the same
+    array operations, the polynomial by Horner's rule through two block
+    buffers, so the temporaries stay in cache.  A scalar or 0-d input runs as a
+    one-element array and returns a ``complex``, so every value is the
+    one the same point gets inside any array.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < 0):
         raise ValidationError("faddeeva requires Im z >= 0")
+    flat = z.ravel()
+    w = np.empty(flat.size, dtype=complex)
     length = _WEIDEMAN_L
-    recip = 1.0 / (length - 1j * z)
-    mapped = (length + 1j * z) * recip
-    poly = np.polynomial.polynomial.polyval(mapped, _WEIDEMAN_A[::-1])
-    w = 2.0 * poly * recip**2 + (1.0 / math.sqrt(math.pi)) * recip
-    if w.ndim == 0:
-        return complex(w)
-    return w
+    for sl in _blocks(flat.size):
+        zb = flat[sl]
+        recip = 1.0 / (length - 1j * zb)
+        mapped = (length + 1j * zb) * recip
+        poly = _WEIDEMAN_A[0] + mapped * 0  # polyval's start, signed zeros and all
+        term = np.empty_like(poly)
+        for a in _WEIDEMAN_A[1:].tolist():
+            # not in place: numpy runs a one-point in-place complex product
+            # through its reduction loop, which rounds unlike the array loop
+            np.multiply(poly, mapped, out=term)
+            np.add(term, a, out=poly)
+        np.add(2.0 * poly * recip**2, (1.0 / math.sqrt(math.pi)) * recip, out=w[sl])
+    if z.ndim == 0:
+        return complex(w[0])
+    return w.reshape(z.shape)

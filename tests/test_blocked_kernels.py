@@ -1,0 +1,222 @@
+"""The blocked pointwise kernels against their unblocked loops, bit for bit.
+
+The pole sum, the effective-temperature chain and the Faddeeva polynomial
+run a large grid in blocks of ``core._BLOCK`` points.  Each reference
+below is the same arithmetic over the whole grid at once; results are
+compared as uint64 so that a block boundary that rounds one value
+differently, or flips the sign of a zero, fails.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polarispec.bathmap import _INVERSION_MSG, effective_temperature
+from polarispec.core import _BLOCK, ValidationError, make_grid
+from polarispec.susceptibility import (
+    _WEIDEMAN_A,
+    _WEIDEMAN_L,
+    TransitionSet,
+    _pole_sum,
+    chi_multilevel,
+    faddeeva,
+)
+
+# below one block, exactly one, one past it (a one-point last block), and three blocks
+SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    differ = np.flatnonzero((_bits(got) != _bits(want)).reshape(got.shape[0], -1).any(axis=1))
+    assert differ.size == 0, f"{differ.size} values differ, first at index {differ[0]}"
+
+
+def _pole_sum_unblocked(omega, poles):
+    vals = np.zeros(omega.size, dtype=complex)
+    x = np.empty(omega.size)
+    z = np.empty(omega.size, dtype=complex)
+    for c, w, s in poles:
+        np.subtract(omega, c, out=x)
+        np.add(x, 0.5j * w, out=z)
+        np.divide(s, z, out=z)
+        np.subtract(vals, z, out=vals)
+    return vals
+
+
+def _line_sums_unblocked(ts, omega):
+    num = np.zeros(omega.size)
+    den = np.zeros(omega.size)
+    kern, share = np.empty((2, omega.size))
+    lines = (ts.omega_zy, ts.weight, ts.p_y, ts.p_z, ts.gamma)
+    for w0, wt, p_y, p_z, g in zip(*(a.tolist() for a in lines)):
+        np.subtract(omega, w0, out=kern)
+        np.square(kern, out=kern)
+        kern += 0.25 * g**2
+        np.divide(wt * g, kern, out=kern)
+        num += np.multiply(kern, p_y, out=share)
+        den += np.multiply(kern, p_z, out=share)
+    return num, den
+
+
+def _effective_temperature_unblocked(ts, omega):
+    num, den = _line_sums_unblocked(ts, omega)
+    dead = den < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.divide(num, den, out=num)
+    if ((ratio < 1.0 - 1e-10) & ~dead).any():
+        raise ValidationError(_INVERSION_MSG)
+    vals = np.log(np.maximum(ratio, 1.0, out=ratio), out=ratio)
+    vals /= omega
+    vals[dead] = math.inf
+    return vals
+
+
+def _faddeeva_unblocked(z):
+    z = np.asarray(z, dtype=complex)
+    length = _WEIDEMAN_L
+    recip = 1.0 / (length - 1j * z)
+    mapped = (length + 1j * z) * recip
+    poly = np.polynomial.polynomial.polyval(mapped, _WEIDEMAN_A[::-1])
+    return 2.0 * poly * recip**2 + (1.0 / math.sqrt(math.pi)) * recip
+
+
+@st.composite
+def _poles(draw, omega):
+    """1-6 poles, some centred exactly on grid points, widths equal or mixed."""
+    widths = draw(st.sampled_from([[0.3], [0.3, 0.05], [0.3, 0.05, 1.7, 1e-3]]))
+    poles = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            c = float(omega[draw(st.integers(0, omega.size - 1))])
+        else:
+            c = draw(st.floats(-4.0, 4.0))
+        poles.append((c, draw(st.sampled_from(widths)), draw(st.floats(-3.0, 3.0))))
+    return poles
+
+
+class TestPoleSumBlocks:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data(), n=st.sampled_from(SIZES), lo=st.floats(-5.0, -0.5),
+           hi=st.floats(0.5, 5.0))
+    def test_matches_unblocked_loop(self, data, n, lo, hi):
+        omega = np.linspace(lo, hi, n)
+        # signed zeros at both ends (at n = B + 1 the last block is -0.0 alone),
+        # and a pole on each
+        omega[[0, 1, -2, -1]] = [-0.0, 0.0, 0.0, -0.0]
+        poles = data.draw(_poles(omega)) + [(0.0, 0.3, 1.0), (-0.0, 0.05, -0.5)]
+        _assert_bitwise(_pole_sum(omega, iter(poles)), _pole_sum_unblocked(omega, poles))
+
+
+@st.composite
+def _uphill_lines(draw, omega):
+    """1-5 passive uphill lines; some emit nothing (p_z = 0) or almost nothing."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            w0 = float(omega[draw(st.integers(0, omega.size - 1))])
+        else:
+            w0 = draw(st.floats(0.05, 6.0))
+        p_y = draw(st.floats(0.5, 1.0))
+        # p_z <= p_y keeps every line passive, so no point is inverted
+        p_z = draw(st.sampled_from([0.0, p_y, p_y * draw(st.floats(0.0, 1.0))]))
+        # a weight of 1e-296 leaves den below 1e-300 away from the line only
+        weight = draw(st.sampled_from([1.0, 0.3, 1e-296]))
+        rows.append((w0, weight, p_y, p_z, draw(st.sampled_from([0.2, 0.01, 1.5]))))
+    return TransitionSet.from_arrays(*zip(*rows))
+
+
+class TestEffectiveTemperatureBlocks:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data(), n=st.sampled_from(SIZES), lo=st.floats(1e-3, 0.5),
+           hi=st.floats(2.0, 8.0))
+    def test_matches_unblocked_chain(self, data, n, lo, hi):
+        g = make_grid(lo, hi, n)
+        ts = data.draw(_uphill_lines(g.points))
+        got = effective_temperature(ts, g).values
+        _assert_bitwise(got, _effective_temperature_unblocked(ts, g.points))
+
+    def test_dead_points_in_some_blocks_only(self):
+        g = make_grid(0.01, 100.0, 2 * _BLOCK + 3)
+        ts = TransitionSet.from_arrays([1.0, 2.0], [1.0, 1e-296], [0.9, 0.8], [0.0, 0.5],
+                                       [0.2, 0.1])
+        got = effective_temperature(ts, g).values
+        dead = np.isinf(got)
+        assert dead[: _BLOCK].any() and dead[-3:].all() and not dead[: _BLOCK].all()
+        _assert_bitwise(got, _effective_temperature_unblocked(ts, g.points))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_inversion_in_the_last_block_only_raises(self, n):
+        g = make_grid(0.5, 10.0, n)
+        # a broad passive line everywhere and a narrow inverted one on the last point
+        ts = TransitionSet.from_arrays([1.0, 10.0], [1.0, 1e-5], [0.9, 0.1], [0.1, 0.9],
+                                       [0.5, 1e-4])
+        num, den = _line_sums_unblocked(ts, g.points)
+        inverted = np.flatnonzero(num / den < 1.0 - 1e-10)
+        assert inverted.size and inverted.min() >= (n - 1) // _BLOCK * _BLOCK
+        with pytest.raises(ValidationError, match="inverted"):
+            effective_temperature(ts, g)
+
+
+class TestFaddeevaBlocks:
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(n=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.1, 3.0, 200.0]))
+    def test_matches_unblocked_polynomial(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        z = scale * (rng.normal(size=n) + 1j * rng.exponential(size=n))
+        z[[0, 1, -1]] = [complex(-0.0, 0.0), 0.0, 1j]
+        _assert_bitwise(faddeeva(z), _faddeeva_unblocked(z))
+
+    def test_scalar_and_array_values_agree_bitwise(self):
+        rng = np.random.default_rng(5)
+        z = 4.0 * (rng.normal(size=(40, 50)) + 1j * rng.exponential(size=(40, 50)))
+        grid = faddeeva(z)
+        assert grid.shape == (40, 50)
+        flat = faddeeva(z.ravel())
+        assert flat.shape == (2000,)
+        _assert_bitwise(grid.ravel(), flat)
+        for k, zk in enumerate(z.ravel().tolist()):
+            scalar, zero_d = faddeeva(zk), faddeeva(np.asarray(zk))
+            assert type(scalar) is complex and type(zero_d) is complex
+            _assert_bitwise(np.array([scalar, zero_d]), flat[[k, k]])
+        assert type(faddeeva(0.5)) is complex
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """On a 1e6-point grid each kernel needs its output twice (the result and
+    the container's read-only copy) plus block-sized buffers, not one
+    grid-sized temporary per pass."""
+
+    n = 1_000_000
+    slack = 4 * 2**20
+
+    def test_kernels_hold_two_outputs_and_block_buffers(self):
+        rng = np.random.default_rng(3)
+        g = make_grid(0.01, 10.0, self.n)
+        ts = TransitionSet.from_arrays(rng.uniform(0.5, 9.5, 23), rng.uniform(0.1, 2.0, 23),
+                                       np.full(23, 0.9), np.full(23, 0.1), np.full(23, 0.2))
+        z = (g.points - 5.0 + 0.05j) / math.sqrt(2.0)
+        peaks = {
+            "chi_multilevel": (_traced_peak(chi_multilevel, ts, g), 16 * self.n),
+            "faddeeva": (_traced_peak(faddeeva, z), 16 * self.n),
+            "effective_temperature": (_traced_peak(effective_temperature, ts, g), 8 * self.n),
+        }
+        over = {k: peak for k, (peak, out) in peaks.items() if peak > 2 * out + self.slack}
+        assert not over, f"traced peaks (bytes) over two outputs + 4 MiB: {over}"

@@ -8,6 +8,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import wofz
 
 from polarispec.core import (
+    _BLOCK,
     AccuracyWarning,
     RealSpectrum,
     TimeGrid,
@@ -75,13 +76,14 @@ class TestChiMultilevel:
     def test_pointwise_evaluation_is_bitwise_identical(self):
         # frequency points are independent and the transition order is
         # fixed, so evaluating any pair of grid points alone must
-        # reproduce the full-grid values bit for bit
+        # reproduce the full-grid values bit for bit, also at and across
+        # the edges of the blocks the pole sum runs a long grid in
         ts = TransitionSet(
             [Transition(w, 0.5 + w, 0.9, 0.1, 0.2) for w in (0.5, 1.0, 2.5)]
         )
-        g = make_grid(-3, 3, 601)
+        g = make_grid(-3, 3, 2 * _BLOCK + 3)
         full = chi_multilevel(ts, g).values
-        for i in (0, 77, 300, 511):
+        for i in (0, 77, 300, 511, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK + 1):
             pair = make_grid(g.points[i], g.points[i + 1], 2)
             vals = chi_multilevel(ts, pair).values
             assert vals[0] == full[i]
