@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .core import (
     _chirp_z,
     _Columns,
     _count,
-    _readonly,
     _Record,
     _require,
     _Samples,
@@ -147,15 +145,9 @@ class DiscretizedBath(_Columns, LineModel):
     record = BathMode
     modes = property(tuple, doc="The modes as a tuple of BathMode records.")
 
-    @cached_property
-    def _weight(self) -> np.ndarray:
-        # g**2 of a Python float is libm pow(g, 2.0), which for some g is one
-        # ulp off g*g; the weights keep the rounding they have always had
-        return _readonly([g**2 for g in self.coupling.tolist()])
-
     @property
     def total_coupling_sq(self) -> float:
-        return float(sum(self._weight.tolist()))
+        return float(sum(np.square(self.coupling).tolist()))
 
     def transitions(self) -> TransitionSet:
         """The bath as a transition set, one fully absorbing line per mode.
@@ -168,7 +160,7 @@ class DiscretizedBath(_Columns, LineModel):
         """
         n = len(self)
         return TransitionSet.from_arrays(
-            self.omega, self._weight, np.ones(n), np.zeros(n), self.gamma
+            self.omega, np.square(self.coupling), np.ones(n), np.zeros(n), self.gamma
         )
 
 

@@ -14,12 +14,11 @@ set is accepted, which is what makes saturated and optically pumped
 ensembles expressible.
 
 Every model object has ``chi(grid)`` and ``transitions()`` (None when
-it has no finite line list).  A :class:`LineModel` gets chi as the pole
-sum :func:`chi_multilevel` of its transitions; :class:`TlsEnsemble`
-keeps the closed form :func:`chi_tls_thermal` (tanh(beta*w/2) rounds
-differently from p_g - p_e) and :class:`DisorderedTls` the disorder
-average :func:`chi_disordered`.  The methods look these functions up
-when called.  The concrete models produce only uphill transitions
+it has no finite line list).  A :class:`LineModel`, the thermal
+two-level ensemble included, gets chi as the pole sum
+:func:`chi_multilevel` of its transitions, and :class:`DisorderedTls` the
+disorder average :func:`chi_disordered`.  The methods look these
+functions up when called.  The concrete models produce only uphill transitions
 (w_t > 0), i.e. they work in the rotating-wave approximation;
 :func:`chi_multilevel` accepts signed frequencies, so the two-sided
 symmetry ``chi(-w) = conj(chi(w))`` remains expressible.
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,16 +59,12 @@ __all__ = [
     "DisorderedTls",
     "VibronicModel",
     "MultilevelModel",
-    "thermal_factor",
     "thermal_populations",
-    "tls_transitions",
     "vibronic_transitions",
     "with_mirror_transitions",
     "chi_multilevel",
-    "chi_tls_thermal",
     "chi_disordered",
     "chi_vibronic",
-    "chi_three_level",
     "chi_from_spectral_density",
     "chi_from_correlation",
     "faddeeva",
@@ -123,11 +118,7 @@ class TransitionSet(_Columns):
 
 
 class LineModel:
-    """A model whose susceptibility is the pole sum over its transitions.
-
-    Subclasses define ``transitions()``; ``chi(grid)`` is
-    ``chi_multilevel(self.transitions(), grid)``.
-    """
+    """A model with a line list, ``transitions()``, whose chi is the lines' pole sum."""
 
     def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
         """Susceptibility on ``grid``: the pole sum of :meth:`transitions`."""
@@ -156,20 +147,13 @@ class TlsEnsemble(LineModel):
         _require("finite", omega_exc=self.omega_exc)
         if math.isnan(self.beta) or self.beta < 0:
             raise ValidationError("beta must be >= 0 (math.inf for T = 0)")
-
-    @property
-    def collective_coupling_sq(self) -> float:
-        return self.n_emitters * self.g**2
+        _line_weight(self.n_emitters, self.g)
 
     def transitions(self) -> TransitionSet:
         """Single uphill transition of a thermal two-level ensemble."""
         p_g, p_e = thermal_populations(self.beta, self.omega_exc)
-        ngg = self.collective_coupling_sq
+        ngg = _line_weight(self.n_emitters, self.g)
         return TransitionSet.from_arrays([self.omega_exc], [ngg], [p_g], [p_e], [self.gamma])
-
-    def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
-        """The closed form :func:`chi_tls_thermal`, not the pole sum."""
-        return chi_tls_thermal(self, grid)
 
 
 @dataclass(frozen=True)
@@ -246,12 +230,13 @@ class VibronicModel(LineModel):
             raise ValidationError(
                 f"m_max must be an integer >= 0 and < {_MAX_COUNT}, got {self.m_max!r}"
             )
+        _line_weight(self.n_emitters, self.g)
 
     def transitions(self) -> TransitionSet:
         """Franck-Condon progression as a transition set (zero temperature)."""
         weights = _franck_condon_weights(self.huang_rhys, self.m_max)
         base = self.omega_exc - self.huang_rhys * self.omega_v
-        ngg = self.n_emitters * self.g**2
+        ngg = _line_weight(self.n_emitters, self.g)
         n = weights.size
         return TransitionSet.from_arrays(
             base + np.arange(n) * self.omega_v, ngg * weights, np.ones(n), np.zeros(n),
@@ -304,42 +289,48 @@ class MultilevelModel(LineModel):
                 raise ValidationError(f"dipole ({y},{z}) must go from a lower to a higher level")
         _require("> 0", n_emitters=self.n_emitters, gamma=self.gamma)
         _require("finite", g_scale=self.g_scale)
+        self.transitions()  # refuses a line weight beyond the float range
 
     def transitions(self) -> TransitionSet:
         """One uphill transition per dipole, in the order of ``dipoles``."""
-        lv, scale = self.levels, self.n_emitters * self.g_scale**2
+        lv, name = self.levels, "n_emitters * g_scale**2 * amplitude**2"
         return TransitionSet.from_arrays(*zip(*(
-            (lv[z - 1][0] - lv[y - 1][0], scale * a**2, lv[y - 1][1], lv[z - 1][1], self.gamma)
+            (lv[z - 1][0] - lv[y - 1][0], _line_weight(self.n_emitters, self.g_scale, a, name),
+             lv[y - 1][1], lv[z - 1][1], self.gamma)
             for y, z, a in self.dipoles
         )))
 
 
-# the transition builders and line-model chi under their function names
-tls_transitions = TlsEnsemble.transitions
+# the vibronic transition builder and line-model chi under their function names
 vibronic_transitions = VibronicModel.transitions
-chi_vibronic = chi_three_level = LineModel.chi
+chi_vibronic = LineModel.chi
 
 
 # ---------------------------------------------------------------------------
 # Thermal and transition-set helpers
 
 
-def thermal_factor(beta: float, omega: float) -> float:
-    """Population difference tanh(beta*omega/2) of a two-level transition.
-
-    ``beta = inf`` returns exactly 1.0 (ground state), also at omega = 0,
-    where the literal product inf*0 would be undefined.
-    """
-    if math.isinf(beta):
-        return 1.0
-    return math.tanh(0.5 * beta * omega)
+def _line_weight(n: float, g: float, a: float = 1.0, name: str = "n_emitters * g**2") -> float:
+    """Collective line weight n * g**2 * a**2; ValidationError naming it unless finite."""
+    try:
+        w = float(n * g**2 * a**2)
+    except OverflowError:  # a Python float power raises where numpy gives inf
+        w = math.inf
+    _require("finite", **{name: w})
+    return w
 
 
 def thermal_populations(beta: float, omega: float) -> tuple[float, float]:
-    """Boltzmann populations (p_ground, p_excited) of a two-level system."""
+    """Boltzmann populations (p_ground, p_excited) of a two-level system.
+
+    Exactly (1, 0) at beta = inf; the limit (0, 1) where exp(-beta*omega) overflows.
+    """
     if math.isinf(beta):
         return 1.0, 0.0
-    boltz = math.exp(-beta * omega)
+    try:
+        boltz = math.exp(-beta * omega)
+    except OverflowError:
+        return 0.0, 1.0
     p_g = 1.0 / (1.0 + boltz)
     return p_g, 1.0 - p_g
 
@@ -431,14 +422,6 @@ def chi_multilevel(ts: TransitionSet, grid: FrequencyGrid) -> ComplexSpectrum:
     return ComplexSpectrum(grid, _pole_sum(grid.points, poles))
 
 
-def chi_tls_thermal(m: TlsEnsemble, grid: FrequencyGrid) -> ComplexSpectrum:
-    """Thermal two-level ensemble: one pole with a tanh-scaled weight."""
-    pd = thermal_factor(m.beta, m.omega_exc)
-    omega = grid.points
-    vals = -m.collective_coupling_sq * pd / (omega - m.omega_exc + 0.5j * m.gamma)
-    return ComplexSpectrum(grid, vals)
-
-
 def chi_disordered(
     m: TlsEnsemble, d: DisorderSpec, grid: FrequencyGrid
 ) -> ComplexSpectrum:
@@ -447,20 +430,18 @@ def chi_disordered(
     The line is centred on ``d.center``, the mean excitation energy; ``m``
     gives the coupling and the homogeneous linewidth.
     Lorentzian disorder folds into the homogeneous linewidth exactly
-    (gamma -> gamma + sigma).  Gaussian disorder is the Voigt kernel,
-    evaluated through the Faddeeva function.
+    (gamma -> gamma + sigma), so it is ``m``'s line at ``d.center``.
+    Gaussian disorder is the Voigt kernel, through the Faddeeva function.
     """
     if not math.isinf(m.beta):
         raise ValidationError(
             "disordered ensembles are evaluated at zero temperature (beta=inf)"
         )
-    ngg = m.collective_coupling_sq
-    omega = grid.points
     if d.kind == "lorentzian":
-        vals = -ngg / (omega - d.center + 0.5j * (m.gamma + d.sigma))
-    else:
-        z = (omega - d.center + 0.5j * m.gamma) / (d.sigma * math.sqrt(2.0))
-        vals = 1j * ngg * math.sqrt(0.5 * math.pi) / d.sigma * faddeeva(z)
+        return replace(m, omega_exc=d.center, gamma=m.gamma + d.sigma).chi(grid)
+    ngg = _line_weight(m.n_emitters, m.g)
+    z = (grid.points - d.center + 0.5j * m.gamma) / (d.sigma * math.sqrt(2.0))
+    vals = 1j * ngg * math.sqrt(0.5 * math.pi) / d.sigma * faddeeva(z)
     return ComplexSpectrum(grid, vals)
 
 

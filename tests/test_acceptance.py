@@ -52,9 +52,6 @@ from polarispec.susceptibility import (
     TlsEnsemble,
     chi_disordered,
     chi_multilevel,
-    chi_tls_thermal,
-    thermal_factor,
-    tls_transitions,
     vibronic_transitions,
     with_mirror_transitions,
 )
@@ -131,7 +128,7 @@ def test_criterion_3_rabi_contraction(tmp_path):
     ok = True
     details = []
     for beta, split, tra in zip(betas, splittings, results):
-        expected = 2.0 * math.sqrt(4.0 * thermal_factor(beta, 1.0))
+        expected = 2.0 * math.sqrt(4.0 * math.tanh(0.5 * beta * 1.0))
         if expected > 0:
             ok &= abs(split - expected) / expected < 0.02
         else:
@@ -175,7 +172,7 @@ def test_criterion_5_lorentzian_disorder_closed_form():
     cav = CavityParams(0.0, 0.05, 0.05)
     m = TlsEnsemble(1.0, 1.5, 0.0, math.inf, 0.1)
     chi_dis = chi_disordered(m, DisorderSpec("lorentzian", 0.0, 1.0), grid)
-    chi_eff = chi_tls_thermal(TlsEnsemble(1.0, 1.5, 0.0, math.inf, 0.1 + 1.0), grid)
+    chi_eff = TlsEnsemble(1.0, 1.5, 0.0, math.inf, 0.1 + 1.0).chi(grid)
     a = spectra_harmonic(chi_dis, cav)
     b = spectra_harmonic(chi_eff, cav)
     worst = max(
@@ -240,9 +237,9 @@ def test_criterion_8_finite_bath_equivalence():
     m = TlsEnsemble(1.0, 1.0, 2.0, math.inf, 2.0)
     cav = CavityParams(2.0, 0.025, 0.025)
     grid = make_grid(-4.0, 4.0, 4001)
-    t_ref = spectra_harmonic(chi_tls_thermal(m, grid), cav).transmission.values
+    t_ref = spectra_harmonic(m.chi(grid), cav).transmission.values
     jgrid = make_grid(0.0, 8.0, 16001)
-    J = spectral_density_from_chi(chi_tls_thermal(m, jgrid))
+    J = spectral_density_from_chi(m.chi(jgrid))
 
     deviations = {}
     for n_modes in (1, 8, 64):
@@ -293,7 +290,7 @@ def test_criterion_9_landauer_identity():
     cav = CavityParams(2.0, 0.025, 0.025)
     grid = make_grid(-4.0, 4.0, 2001)
     jgrid = make_grid(0.0, 8.0, 8001)
-    J = spectral_density_from_chi(chi_tls_thermal(m, jgrid))
+    J = spectral_density_from_chi(m.chi(jgrid))
     for n_modes in (1, 64):
         D = green_finite_n(discretize_bath(J, n_modes), cav, grid)
         t_trace = landauer_transmission(D, cav).values
@@ -321,12 +318,12 @@ def test_criterion_10_bath_map_round_trip():
     m = TlsEnsemble(1.0, 1.0, omega_exc, beta, gamma)
     tg = TimeGrid(3.0 / gamma, 301)
     reference = correlation_from_transitions(
-        with_mirror_transitions(tls_transitions(m)), tg
+        with_mirror_transitions(m.transitions()), tg
     )
     n = 3_500_000
     jgrid = make_grid(140.0 / n, 140.0, n)
-    J = spectral_density_from_chi(chi_tls_thermal(m, jgrid))
-    beta_eff = effective_temperature(tls_transitions(m), jgrid)
+    J = spectral_density_from_chi(m.chi(jgrid))
+    beta_eff = effective_temperature(m.transitions(), jgrid)
     center = int(round(omega_exc / (140.0 / n))) - 1
     beta_dev = abs(beta_eff.values[center] - beta)
     reconstructed = reconstruct_correlation(J, beta_eff, tg)
@@ -345,7 +342,7 @@ def test_criterion_10_bath_map_round_trip():
 def test_criterion_11_kramers_kronig():
     grid = make_grid(-4.0, 4.0, 4001)
     m = TlsEnsemble(1.0, 2.0, 0.0, math.inf, 0.3)
-    chi = chi_tls_thermal(m, grid)
+    chi = m.chi(grid)
     w = grid.points
     dw = grid.spacing
     im = chi.values.imag

@@ -30,9 +30,7 @@ from polarispec.susceptibility import (
     TransitionSet,
     chi_from_correlation,
     chi_multilevel,
-    chi_tls_thermal,
     thermal_populations,
-    tls_transitions,
     with_mirror_transitions,
 )
 
@@ -137,7 +135,7 @@ class TestSpectralDensityFromChi:
     def test_definition(self):
         g = make_grid(-1, 1, 5)
         m = TlsEnsemble(1.0, 2.0, 0.5, math.inf, 0.3)
-        chi = chi_tls_thermal(m, g)
+        chi = m.chi(g)
         J = spectral_density_from_chi(chi)
         pos = g.points >= 0
         assert np.array_equal(J.values[pos], chi.values.imag[pos])
@@ -148,7 +146,7 @@ class TestSpectralDensityFromChi:
         gamma, beta, w0 = 0.3, 1.2, 1.0
         g = make_grid(-4, 4, 8001)
         m = TlsEnsemble(1.0, 2.0, w0, beta, gamma)
-        J = spectral_density_from_chi(chi_tls_thermal(m, g))
+        J = spectral_density_from_chi(m.chi(g))
         expected = 4.0 * math.tanh(beta * w0 / 2) * 2.0 / gamma
         assert J.values.max() == pytest.approx(expected, rel=1e-6)
 
@@ -258,8 +256,8 @@ class TestReconstructCorrelation:
     def test_initial_value_is_density_integral_at_zero_temperature(self):
         g = make_grid(0.05, 20.0, 4000)
         m = TlsEnsemble(1.0, 1.0, 6.0, math.inf, 0.5)
-        J = spectral_density_from_chi(chi_tls_thermal(m, g))
-        beff = effective_temperature(tls_transitions(m), g)
+        J = spectral_density_from_chi(m.chi(g))
+        beff = effective_temperature(m.transitions(), g)
         tg = TimeGrid(2.0, 5)
         c2 = reconstruct_correlation(J, beff, tg)
         assert c2.values[0].real == pytest.approx(
@@ -284,12 +282,12 @@ class TestReconstructCorrelation:
         m = TlsEnsemble(1.0, 1.0, omega_exc, beta, gamma)
         tg = TimeGrid(3.0 / gamma, 201)
         ref = correlation_from_transitions(
-            with_mirror_transitions(tls_transitions(m)), tg
+            with_mirror_transitions(m.transitions()), tg
         )
         n = 240000
         jg = make_grid(24.0 / n, 24.0, n)
-        J = spectral_density_from_chi(chi_tls_thermal(m, jg))
-        beff = effective_temperature(tls_transitions(m), jg)
+        J = spectral_density_from_chi(m.chi(jg))
+        beff = effective_temperature(m.transitions(), jg)
         rec = reconstruct_correlation(J, beff, tg)
         rel = np.abs(rec.values - ref.values) / np.abs(ref.values)
         assert rel.max() < 3e-3
@@ -361,7 +359,7 @@ class TestDiscretizeBath:
 
         g = make_grid(0.0, 8.0, 8001)
         m = TlsEnsemble(1.0, 1.0, 4.0, math.inf, 0.4)
-        J = spectral_density_from_chi(chi_tls_thermal(m, g))
+        J = spectral_density_from_chi(m.chi(g))
         bath = discretize_bath(J, 1, gamma_mode=0.4)
         coupling = bath.modes[0].coupling
         cav = CavityParams(4.0, 0.025, 0.025)
@@ -378,12 +376,12 @@ class TestSurrogateBath:
 
     def test_rotating_frame_line_warns_with_dropped_share(self):
         # fig2a: the line sits at omega = 0, so half of it is left out
-        chi = chi_tls_thermal(TlsEnsemble(1.0, 2.0, 0.0, math.inf, 0.3), make_grid(-4, 4, 4001))
+        chi = TlsEnsemble(1.0, 2.0, 0.0, math.inf, 0.3).chi(make_grid(-4, 4, 4001))
         with pytest.warns(AccuracyWarning, match=r"50\.2%"):
             surrogate_bath(chi, 16)
 
     def test_lab_frame_line_is_silent(self):
-        chi = chi_tls_thermal(TlsEnsemble(1.0, 1.0, 2.0, math.inf, 0.3), make_grid(-4, 8, 4001))
+        chi = TlsEnsemble(1.0, 1.0, 2.0, math.inf, 0.3).chi(make_grid(-4, 8, 4001))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             surrogate_bath(chi, 64)
@@ -397,7 +395,7 @@ class TestSurrogateBath:
 
     @pytest.mark.parametrize("gamma_mode", [None, 0.05])
     def test_modes_equal_the_hand_built_bath(self, gamma_mode):
-        chi = chi_tls_thermal(TlsEnsemble(1.0, 1.0, 2.0, 1.5, 0.3), make_grid(-4, 8, 4001))
+        chi = TlsEnsemble(1.0, 1.0, 2.0, 1.5, 0.3).chi(make_grid(-4, 8, 4001))
         pos = chi.grid.points > 0
         w = chi.grid.points[pos]
         on_pos_grid = ComplexSpectrum(make_grid(w[0], w[-1], w.size), chi.values[pos])
@@ -443,7 +441,7 @@ def _modes_one_at_a_time(J, n_modes, gamma_mode=None):
 
 
 def _lab_tls_chi():
-    return chi_tls_thermal(TlsEnsemble(1.0, 1.0, 2.0, math.inf, 0.3), make_grid(-4.0, 8.0, 4001))
+    return TlsEnsemble(1.0, 1.0, 2.0, math.inf, 0.3).chi(make_grid(-4.0, 8.0, 4001))
 
 
 _MODE_FIELDS = ("omega", "coupling", "gamma")
@@ -457,18 +455,19 @@ class TestBathArrays:
     def test_discretized_modes_equal_the_records_built_one_at_a_time(self, n_modes, gamma_mode):
         pos = make_grid(0.003, 8.0, 2667)
         for J in (
-            spectral_density_from_chi(chi_tls_thermal(TlsEnsemble(1.0, 1.0, 2.0, math.inf, 0.3), pos)),
+            spectral_density_from_chi(TlsEnsemble(1.0, 1.0, 2.0, math.inf, 0.3).chi(pos)),
             RealSpectrum(pos, np.where((pos.points > 1) & (pos.points < 7), np.sin(pos.points) ** 2, 0.0)),
         ):
             bath = discretize_bath(J, n_modes, gamma_mode)
             assert bath.modes == _modes_one_at_a_time(J, n_modes, gamma_mode)
 
-    def test_weights_are_the_python_squares_of_the_couplings(self):
-        # Python's g**2 is libm pow(g, 2.0); with glibc, one of these 256
-        # couplings has pow(g, 2.0) != g*g, and the outputs keep pow's value
+    def test_weights_are_the_rounded_squares_of_the_couplings(self):
+        # the weights are g*g, rounded once; with glibc, one of these 256
+        # couplings has Python's g**2 (libm pow(g, 2.0)) one ulp away from it
         bath = surrogate_bath(_lab_tls_chi(), 256)
-        assert bath.transitions().weight.tolist() == [m.coupling**2 for m in bath.modes]
-        assert bath.total_coupling_sq == sum(m.coupling**2 for m in bath.modes)
+        squares = [g * g for g in bath.coupling.tolist()]
+        assert bath.transitions().weight.tolist() == squares
+        assert bath.total_coupling_sq == sum(squares)
 
     def test_transitions_are_absorbing_lines_at_the_modes(self):
         bath = surrogate_bath(_lab_tls_chi(), 16)

@@ -456,7 +456,7 @@ class TestModelChiLookup:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = dict.fromkeys(("chi_tls_thermal", "chi_disordered", "chi_multilevel"), 0)
+        counts = dict.fromkeys(("chi_disordered", "chi_multilevel"), 0)
         for name in counts:
 
             def counting(*args, _name=name, _fn=getattr(susceptibility, name)):
@@ -468,7 +468,7 @@ class TestModelChiLookup:
 
     @pytest.mark.parametrize(
         "name, formula",
-        [("fig2a", "chi_tls_thermal"), ("fig3a", "chi_disordered"), ("fig4", "chi_multilevel")],
+        [("fig2a", "chi_multilevel"), ("fig3a", "chi_disordered"), ("fig4", "chi_multilevel")],
     )
     def test_preset_chi(self, calls, name, formula):
         run_scenario(parse_scenario(preset_config(name)))
@@ -483,8 +483,7 @@ class TestModelChiLookup:
             "method": {"kind": "finite_n", "n_modes": 16},
         }
         run_scenario(parse_scenario(cfg))
-        assert calls["chi_tls_thermal"] >= 1  # the model
-        assert calls["chi_multilevel"] >= 1  # the surrogate bath
+        assert calls["chi_multilevel"] >= 2  # the model and the surrogate bath
 
     def test_moved_models_still_import_from_cli(self):
         assert cli.DisorderedTls is susceptibility.DisorderedTls
@@ -628,6 +627,25 @@ class TestMainEntry:
         assert len(err) < 200  # a long value is cut short
 
     @pytest.mark.parametrize(
+        "preset, model, message",
+        [
+            pytest.param("fig2a", {"g": 1e200}, "n_emitters * g**2", id="tls"),
+            pytest.param("fig2a", {"n_emitters": 1e300, "g": 1e10}, "n_emitters * g**2",
+                         id="tls-n_emitters"),
+            pytest.param("fig3a", {"g": 1e200}, "n_emitters * g**2", id="disordered_tls"),
+            pytest.param("fig4", {"g": 1e200}, "n_emitters * g**2", id="vibronic"),
+            pytest.param("fig5a", {"dipoles": [[1, 2, 1.0], [2, 3, 1e200], [1, 3, 1.0]]},
+                         "n_emitters * g_scale**2 * amplitude**2", id="multilevel"),
+        ],
+    )
+    def test_coupling_beyond_float_range_is_one_error_line(self, tmp_path, capsys, preset,
+                                                           model, message):
+        cfg = preset_config(preset)
+        cfg["model"].update(model)
+        assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"error: model: {message} must be finite\n"
+
+    @pytest.mark.parametrize(
         "points, message",
         [
             pytest.param(10**30, "error: grid: n_points must be an integer in [2, ",
@@ -691,15 +709,38 @@ class TestCsvFormats:
             fileio.read_chi_csv(str(path))
 
     def test_chi_round_trip_exact(self, tmp_path):
-        from polarispec.susceptibility import TlsEnsemble, chi_tls_thermal
+        from polarispec.susceptibility import TlsEnsemble
 
         g = make_grid(-2, 2, 101)
-        chi = chi_tls_thermal(TlsEnsemble(1.0, 1.0, 0.0, math.inf, 0.3), g)
+        chi = TlsEnsemble(1.0, 1.0, 0.0, math.inf, 0.3).chi(g)
         path = str(tmp_path / "chi.csv")
         fileio.write_chi_csv(path, chi)
         back = fileio.read_chi_csv(path)
         assert back.grid == chi.grid
         assert np.array_equal(back.values, chi.values)
+
+    def test_c2_round_trip_exact(self, tmp_path):
+        from polarispec.bathmap import (
+            effective_temperature,
+            reconstruct_correlation,
+            spectral_density_from_chi,
+        )
+        from polarispec.core import TimeGrid
+        from polarispec.susceptibility import TlsEnsemble
+
+        g = make_grid(0.05, 8.0, 401)
+        m = TlsEnsemble(1.0, 1.0, 2.0, 1.5, 0.3)
+        J = spectral_density_from_chi(m.chi(g))
+        c2 = reconstruct_correlation(J, effective_temperature(m.transitions(), g),
+                                     TimeGrid(30.0, 301))
+        path = str(tmp_path / "c2.csv")
+        fileio.write_c2_csv(path, c2)
+        with open(path) as fh:
+            assert fh.readline() == "t,re_c2,im_c2\n"
+        t, re_c2, im_c2 = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        assert t.tobytes() == c2.grid.times.tobytes()
+        assert re_c2.tobytes() == c2.values.real.tobytes()
+        assert im_c2.tobytes() == c2.values.imag.tobytes()
 
     def test_nonuniform_grid_rejected(self, tmp_path):
         path = tmp_path / "chi.csv"
@@ -884,9 +925,9 @@ class TestTabulatedChi:
     """A table off the scenario grid is interpolated onto it, never extrapolated."""
 
     def _table(self, tmp_path):
-        from polarispec.susceptibility import TlsEnsemble, chi_tls_thermal
+        from polarispec.susceptibility import TlsEnsemble
 
-        table = chi_tls_thermal(TlsEnsemble(1.0, 1.0, 0.5, math.inf, 0.3), make_grid(-5, 5, 1601))
+        table = TlsEnsemble(1.0, 1.0, 0.5, math.inf, 0.3).chi(make_grid(-5, 5, 1601))
         path = str(tmp_path / "chi.csv")
         fileio.write_chi_csv(path, table)
         return fileio.TabulatedChi(path), fileio.read_chi_csv(path)

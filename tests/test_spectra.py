@@ -30,7 +30,6 @@ from polarispec.susceptibility import (
     TransitionSet,
     chi_disordered,
     chi_multilevel,
-    chi_tls_thermal,
 )
 
 
@@ -100,7 +99,7 @@ class TestPhotonGreenFunction:
         g = make_grid(-4, 4, 801)
         m = TlsEnsemble(1.0, 2.0, 0.5, math.inf, 0.3)
         cav = CavityParams(0.0, 0.05, 0.05)
-        D = photon_green_function(chi_tls_thermal(m, g), cav)
+        D = photon_green_function(m.chi(g), cav)
         w = g.points
         expected_inverse = (w + 0.05j) - 4.0 / (w - 0.5 + 0.15j)
         assert np.abs(1.0 / D.values - expected_inverse).max() < 1e-12
@@ -168,7 +167,7 @@ class TestPortFormulas:
         g = make_grid(-4, 4, 4001)
         cav = CavityParams(0.0, 0.05, 0.05)
         m = TlsEnsemble(1.0, 2.0, 0.0, math.inf, 0.3)
-        tra = spectra_harmonic(chi_tls_thermal(m, g), cav)
+        tra = spectra_harmonic(m.chi(g), cav)
         peaks = local_maxima(tra.transmission)
         assert len(peaks) == 2
         assert abs(abs(peaks[0][0]) - 2.0) < 0.01
@@ -228,7 +227,7 @@ class TestRabiSplitting:
         previous = np.inf
         for beta in (math.inf, 2.0, 1.0, 0.5, 0.25):
             m = TlsEnsemble(1.0, 2.0, 1.0, beta, 0.3)
-            tra = spectra_harmonic(chi_tls_thermal(m, g), cav)
+            tra = spectra_harmonic(m.chi(g), cav)
             peaks = local_maxima(tra.transmission)
             assert len(peaks) == 2
             split = peaks[-1][0] - peaks[0][0]
@@ -243,7 +242,7 @@ class TestRabiSplitting:
         g = make_grid(-4, 6, 5001)
         cav = CavityParams(1.0, 0.05, 0.05)
         m = TlsEnsemble(1.0, 2.0, 1.0, 0.0, 0.3)
-        tra = spectra_harmonic(chi_tls_thermal(m, g), cav)
+        tra = spectra_harmonic(m.chi(g), cav)
         assert len(local_maxima(tra.transmission)) == 1
 
 
@@ -271,9 +270,9 @@ class TestFiniteBathGreenFunction:
         m = TlsEnsemble(1.0, 1.0, 2.0, math.inf, 2.0)
         cav = CavityParams(2.0, 0.025, 0.025)
         g = make_grid(-4, 4, 2001)
-        t_ref = spectra_harmonic(chi_tls_thermal(m, g), cav).transmission.values
+        t_ref = spectra_harmonic(m.chi(g), cav).transmission.values
         jg = make_grid(0.0, 8.0, 8001)
-        J = spectral_density_from_chi(chi_tls_thermal(m, jg))
+        J = spectral_density_from_chi(m.chi(jg))
         devs = []
         for n_modes in (4, 16, 64):
             bath = discretize_bath(J, n_modes)
@@ -344,7 +343,7 @@ class TestLandauer:
         g = make_grid(-4, 4, 2001)
         cav = CavityParams(0.3, 0.08, 0.02)
         m = TlsEnsemble(1.0, 1.5, 0.5, math.inf, 0.4)
-        D = photon_green_function(chi_tls_thermal(m, g), cav)
+        D = photon_green_function(m.chi(g), cav)
         t_trace = landauer_transmission(D, cav)
         t_port = spectra_from_green(D, cav).transmission
         assert np.abs(t_trace.values - t_port.values).max() < 1e-12

@@ -27,13 +27,9 @@ from polarispec.susceptibility import (
     chi_from_correlation,
     chi_from_spectral_density,
     chi_multilevel,
-    chi_three_level,
-    chi_tls_thermal,
     chi_vibronic,
     faddeeva,
-    thermal_factor,
     thermal_populations,
-    tls_transitions,
     vibronic_transitions,
     with_mirror_transitions,
 )
@@ -41,6 +37,12 @@ from polarispec.susceptibility import (
 
 def _single(omega, weight, p_y, p_z, gamma):
     return TransitionSet([Transition(omega, weight, p_y, p_z, gamma)])
+
+
+def _tls_closed_form(m, grid):
+    """-N g^2 tanh(beta w0 / 2) / (w - w0 + i gamma/2): a thermal TLS line in closed form."""
+    pd = 1.0 if math.isinf(m.beta) else math.tanh(0.5 * m.beta * m.omega_exc)
+    return -m.n_emitters * m.g**2 * pd / (grid.points - m.omega_exc + 0.5j * m.gamma)
 
 
 class TestChiMultilevel:
@@ -94,19 +96,19 @@ class TestChiTlsThermal:
     def test_zero_temperature_value(self):
         g = make_grid(-1, 1, 3)
         m = TlsEnsemble(1.0, 2.0, 0.0, math.inf, 0.3)
-        chi = chi_tls_thermal(m, g)
+        chi = m.chi(g)
         assert chi.values[1] == pytest.approx(1j * 80.0 / 3.0, abs=1e-12)
 
     def test_infinite_temperature_is_transparent(self):
         g = make_grid(-1, 1, 51)
         m = TlsEnsemble(1.0, 2.0, 1.0, 0.0, 0.3)
-        assert np.all(chi_tls_thermal(m, g).values == 0)
+        assert np.all(m.chi(g).values == 0)
 
     def test_thermal_factor_scales_zero_temperature_result(self):
         g = make_grid(-3, 3, 101)
-        cold = chi_tls_thermal(TlsEnsemble(1.0, 1.3, 1.0, math.inf, 0.2), g)
+        cold = TlsEnsemble(1.0, 1.3, 1.0, math.inf, 0.2).chi(g)
         for beta in (0.3, 1.0, 4.0):
-            warm = chi_tls_thermal(TlsEnsemble(1.0, 1.3, 1.0, beta, 0.2), g)
+            warm = TlsEnsemble(1.0, 1.3, 1.0, beta, 0.2).chi(g)
             factor = math.tanh(beta * 1.0 / 2)
             assert np.allclose(
                 warm.values, factor * cold.values, rtol=1e-15, atol=0
@@ -115,18 +117,26 @@ class TestChiTlsThermal:
     def test_matches_generic_two_level_transition(self):
         g = make_grid(-3, 3, 301)
         m = TlsEnsemble(2.5, 0.8, 1.2, 1.7, 0.25)
-        t = thermal_factor(m.beta, m.omega_exc)
-        ts = _single(1.2, 2.5 * 0.8**2, (1 + t) / 2, (1 - t) / 2, 0.25)
-        ref = chi_multilevel(ts, g).values
-        got = chi_tls_thermal(m, g).values
+        ref = _tls_closed_form(m, g)
+        got = m.chi(g).values
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_thermal_factor_at_zero_temperature_zero_frequency(self):
-        assert thermal_factor(math.inf, 0.0) == 1.0
+        p_g, p_e = thermal_populations(math.inf, 0.0)
+        assert p_g - p_e == 1.0
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValidationError):
             TlsEnsemble(1.0, 1.0, 1.0, -0.5, 0.3)
+
+    def test_inverted_line_beyond_exp_range(self):
+        # beta * omega_exc = -1000: exp(1000) overflows, and the populations
+        # take their limit (p_g, p_e) = (0, 1), a line of pure gain
+        g = make_grid(-3, 3, 301)
+        m = TlsEnsemble(1, 1, -1, 1000, 0.3)
+        assert thermal_populations(m.beta, m.omega_exc) == (0.0, 1.0)
+        expected = m.n_emitters * m.g**2 / (g.points - m.omega_exc + 0.5j * m.gamma)
+        assert np.array_equal(m.chi(g).values, expected)
 
 
 class TestChiDisordered:
@@ -161,7 +171,7 @@ class TestChiDisordered:
         gamma = 0.3
         m = TlsEnsemble(1.0, 1.2, 0.0, math.inf, gamma)
         chi_dis = chi_disordered(m, DisorderSpec("gaussian", 0.0, 1e-4 * gamma), g)
-        chi_hom = chi_tls_thermal(m, g)
+        chi_hom = m.chi(g)
         rel = np.abs(chi_dis.values - chi_hom.values) / np.abs(chi_hom.values)
         assert rel.max() < 1e-6
 
@@ -229,7 +239,7 @@ class TestChiVibronic:
     def test_no_displacement_reduces_to_bare_line(self):
         g = make_grid(-3, 3, 301)
         m = VibronicModel(1.0, 1.1, 0.4, 0.3, 0.0, 0.2)
-        bare = chi_tls_thermal(TlsEnsemble(1.0, 1.1, 0.4, math.inf, 0.2), g)
+        bare = TlsEnsemble(1.0, 1.1, 0.4, math.inf, 0.2).chi(g)
         assert np.array_equal(chi_vibronic(m, g).values, bare.values)
 
     def test_progression_weight(self):
@@ -292,12 +302,12 @@ class TestChiThreeLevel:
 
     def test_equal_populations_transparent(self):
         g = make_grid(-1, 5, 201)
-        chi = chi_three_level(self._model((1 / 3, 1 / 3, 1 / 3)), g)
+        chi = self._model((1 / 3, 1 / 3, 1 / 3)).chi(g)
         assert np.all(chi.values == 0)
 
     def test_population_difference_prefactors(self):
         g = make_grid(-1, 5, 601)
-        chi = chi_three_level(self._model((0.7, 0.2, 0.1)), g)
+        chi = self._model((0.7, 0.2, 0.1)).chi(g)
         w = g.points
         ref = (
             -0.5 / (w - 1.0 + 0.15j)
@@ -308,7 +318,7 @@ class TestChiThreeLevel:
 
     def test_saturated_pair_drops_out(self):
         g = make_grid(-1, 5, 601)
-        chi = chi_three_level(self._model((0.48, 0.48, 0.04)), g)
+        chi = self._model((0.48, 0.48, 0.04)).chi(g)
         w = g.points
         ref = -0.44 / (w - 2.0 + 0.15j) - 0.44 / (w - 3.0 + 0.15j)
         assert np.abs(chi.values - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -615,7 +625,7 @@ class TestChiFromCorrelation:
         from polarispec.bathmap import correlation_from_transitions
 
         m = TlsEnsemble(1.0, 1.0, 3.0, 1.5, 1.0)
-        ts = with_mirror_transitions(tls_transitions(m))
+        ts = with_mirror_transitions(m.transitions())
         tg = TimeGrid(40.0, 400001)
         c2 = correlation_from_transitions(ts, tg)
         g = make_grid(-8, 8, 201)
@@ -700,8 +710,8 @@ class TestInvariants:
 
     def test_linearity_in_emitter_count(self):
         g = make_grid(-3, 3, 101)
-        base = chi_tls_thermal(TlsEnsemble(1.0, 0.9, 1.0, 2.0, 0.3), g)
-        doubled = chi_tls_thermal(TlsEnsemble(2.0, 0.9, 1.0, 2.0, 0.3), g)
+        base = TlsEnsemble(1.0, 0.9, 1.0, 2.0, 0.3).chi(g)
+        doubled = TlsEnsemble(2.0, 0.9, 1.0, 2.0, 0.3).chi(g)
         assert np.allclose(doubled.values, 2.0 * base.values, rtol=1e-15, atol=0)
 
     def test_kramers_kronig_reconstruction(self):
@@ -709,7 +719,7 @@ class TestInvariants:
         # the grid edges
         g = make_grid(-4, 4, 4001)
         m = TlsEnsemble(1.0, 2.0, 0.0, math.inf, 0.3)
-        chi = chi_tls_thermal(m, g)
+        chi = m.chi(g)
         w = g.points
         dw = g.spacing
         im = chi.values.imag
