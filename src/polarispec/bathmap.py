@@ -57,7 +57,7 @@ from .susceptibility import (
     ComplexSpectrum,
     LineModel,
     TransitionSet,
-    _correlation_fourier,
+    chi_from_correlation,
 )
 
 __all__ = [
@@ -190,24 +190,20 @@ def correlation_from_transitions(
 def spectral_density_from_correlation(
     c2: CorrelationFunction, grid: FrequencyGrid
 ) -> RealSpectrum:
-    """Coupling density via the sine transform of the correlation samples.
+    """Coupling density of the correlation samples: the density of their chi.
 
-    Uses the two-sided extension C(-t) = conj(C(t)), under which the full
-    transform reduces to -2 * Int_0^inf Im C(t) sin(w t) dt: the imaginary
-    part of the chirp-z transform behind
-    :func:`polarispec.susceptibility.chi_from_correlation`, evaluated at
-    w >= 0 in O((N+K) log(N+K)); J(0) is exactly zero and J(w < 0) is
-    zero.  The result is clipped to zero where small negative quadrature
-    residue appears (below 1e-10 of the maximum); a structurally negative
-    density means population inversion and raises instead.  Warns, as
-    chi_from_correlation does, when the samples have not decayed by the
-    end of the window.
+    ``spectral_density_from_chi(chi_from_correlation(c2, grid))``, so J is
+    the same Im chi at w > 0 whichever way it is reached: under the
+    two-sided extension C(-t) = conj(C(t)) that is the sine transform
+    -2 * Int_0^inf Im C(t) sin(w t) dt.  J(0) is exactly zero and
+    J(w < 0) is zero; small negative quadrature residue (below 1e-10 of
+    the maximum) is clipped to zero, and a structurally negative density
+    means population inversion and raises.  Warns, through
+    chi_from_correlation, when the samples have not decayed by the end of
+    the window.  A grid whose negative points are not all mirrors of its
+    w >= 0 points pays one more transform for rows the density discards.
     """
-    omega = grid.points
-    pos = omega >= 0
-    vals = np.zeros(grid.n_points)
-    vals[pos] = _correlation_fourier(c2, omega[pos], grid.spacing).imag
-    return RealSpectrum(grid, _clip_density(vals))
+    return spectral_density_from_chi(chi_from_correlation(c2, grid))
 
 
 def spectral_density_from_chi(chi: ComplexSpectrum) -> RealSpectrum:

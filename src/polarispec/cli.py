@@ -15,13 +15,15 @@ Model kinds: ``tls``, ``disordered_tls`` (a ``disorder`` object, whose
 ``center`` is the mean energy, replaces ``omega_exc``), ``vibronic``,
 ``multilevel`` (any ladder; each dipole lists its lower level first),
 ``tabulated_chi`` (``path`` to a chi CSV, or null for an empty cavity).
-``method`` is ``"harmonic"`` or ``{"kind": "finite_n", "n_modes": M}``
-with an optional ``gamma_mode``; ``finite_n`` feeds the chi of the bath of
-:func:`polarispec.bathmap.surrogate_bath` to the same T/R/A formula.
+``method`` is ``"harmonic"`` (short for ``{"kind": "harmonic"}``) or
+``{"kind": "finite_n", "n_modes": M}`` with an optional ``gamma_mode``;
+``finite_n`` feeds the chi of the bath of :func:`polarispec.bathmap.surrogate_bath`
+to the same T/R/A formula.  Each ``outputs`` entry names a csv or svg path.
 ``beta`` may be the string ``"inf"`` since JSON has no infinity literal.
 Unknown keys anywhere are hard errors: a typo in a physics parameter must
-not silently fall back to a default.  Each object checks its rules when
-it is built, so a parsed scenario has passed every model rule and runs.
+not silently fall back to a default.  Each object, ``MethodSpec`` and
+``OutputSpec`` included, checks its rules when it is built, so a parsed
+scenario has passed every rule and runs.
 
 A sweep is one JSON document ``{"base": scenario, "parameter": "model.beta",
 "values": [...]}``.  The dotted ``parameter`` path is resolved on the raw
@@ -30,13 +32,13 @@ every resulting scenario is validated before anything is written.
 ``"model.populations"`` is the one special path: on a multilevel base each
 value is a list with one population per level.
 
-Each config object's keys are declared once, as the init fields of the
-dataclass it parses into, in field order.  The field table below names
-only the codecs of the fields that are not plain numbers; a codec both
-parses and serializes its field and says whether the key may be left
-out (a plain number may when its field has a default).  A model kind
-names only the class it builds; the model object computes its own
-``chi(grid)`` and ``transitions()``, so this module holds no model physics.
+Each config object's keys, the scenario's own included, are declared
+once, as the init fields of the dataclass it parses into, in field order.
+The field table below names only the codecs of the fields that are not
+plain numbers; a codec both parses and serializes its field, and any key
+whose field has a default may be left out.  A model's ``kind`` names only
+the class it builds; the model object computes its own ``chi(grid)`` and
+``transitions()``, so this module holds no model physics.
 
 Exit codes: 0 success, 2 configuration error (a number beyond float range,
 a count beyond what numpy can index and a grid or bath too large to fit in
@@ -115,11 +117,17 @@ class ConfigError(ValidationError):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    kind: str
+    kind: str  # "harmonic", or "finite_n" with n_modes
     n_modes: int | None = None
     gamma_mode: float | None = None
 
     def __post_init__(self):
+        if self.kind not in ("harmonic", "finite_n"):
+            raise ValidationError(f"unknown method kind {self.kind!r}")
+        if self.kind == "harmonic" and (self.n_modes, self.gamma_mode) != (None, None):
+            raise ValidationError("a harmonic method takes no n_modes or gamma_mode")
+        if self.kind == "finite_n" and self.n_modes is None:
+            raise ValidationError("finite_n needs n_modes")
         if self.gamma_mode is not None:
             _require("> 0", gamma_mode=self.gamma_mode)
 
@@ -128,6 +136,10 @@ class MethodSpec:
 class OutputSpec:
     csv: str | None = None
     svg: str | None = None
+
+    def __post_init__(self):
+        if not (self.csv or self.svg):
+            raise ValidationError("needs a csv or svg path")
 
 
 @dataclass(frozen=True)
@@ -189,10 +201,6 @@ def _rows(width: int, what: str) -> _Codec:
     )._replace(dump=lambda rows: [list(r) for r in rows])
 
 
-def _optional(codec: _Codec) -> _Codec:
-    return codec._replace(optional=True)
-
-
 _NUMBER = _typed(_is_number, "a number", float)
 _INTEGER = _typed(lambda v: type(v) is int and _is_number(v), "an integer", _same)
 _COUNT = _typed(  # n_modes, which discretize_bath turns into n_modes + 1 bin edges
@@ -223,25 +231,27 @@ def _parse_fields(fields: dict, d, path: str, prefix: str) -> dict:
 
 
 def _dump_fields(fields: dict, obj) -> dict:
-    out = {}
-    for key, codec in fields.items():
-        v = getattr(obj, key)
-        if not (codec.optional and (v is None or v == ())):
-            out[key] = codec.dump(v)
-    return out
+    values = {key: getattr(obj, key) for key in fields}
+    return {key: fields[key].dump(v) for key, v in values.items()
+            if not (fields[key].optional and (v is None or v == ()))}
 
 
-def _section(build: type, **codecs: _Codec) -> _Codec:
-    """Codec of a dataclass config object whose keys are its init fields.
+def _fields(build: type, **codecs: _Codec) -> dict:
+    """Codec of each init field of a dataclass, by key, in field order.
 
-    A field is a number (optional when it has a default) unless ``codecs``
-    names another codec for it.
+    A field is a number unless ``codecs`` names another codec for it, and
+    its key may be left out when the field has a default.
     """
-    fields = {
-        f.name: codecs.get(f.name, _NUMBER._replace(optional=f.default is not MISSING))
+    return {
+        f.name: codecs.get(f.name, _NUMBER)._replace(optional=f.default is not MISSING)
         for f in dataclasses.fields(build)
         if f.init
     }
+
+
+def _section(build: type, **codecs: _Codec) -> _Codec:
+    """Codec of a dataclass config object whose keys are its init fields."""
+    fields = _fields(build, **codecs)
 
     def parse(d, path):
         kwargs = _parse_fields(fields, d, path, f"{path}.")
@@ -253,76 +263,58 @@ def _section(build: type, **codecs: _Codec) -> _Codec:
     return _Codec(parse, lambda obj: _dump_fields(fields, obj), build=build)
 
 
-_FINITE_N = _section(MethodSpec, kind=_RAW, n_modes=_COUNT)
-_OUTPUT = _section(OutputSpec, csv=_optional(_PATH), svg=_optional(_PATH))
+def _kinds(**sections: _Codec) -> _Codec:
+    """Codec of an object whose ``"kind"`` key names the section of its other keys."""
+    kinds = {codec.build: kind for kind, codec in sections.items()}
 
-_MODELS = {
-    "tls": _section(TlsEnsemble, beta=_BETA),
-    "disordered_tls": _section(DisorderedTls, disorder=_section(DisorderSpec, kind=_RAW)),
-    "vibronic": _section(VibronicModel, m_max=_optional(_INTEGER)),
-    "multilevel": _section(
-        MultilevelModel,
-        levels=_rows(2, "[omega, population] pairs"),
-        dipoles=_rows(3, "[low, high, amplitude] triples"),
+    def parse(d, path):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{path}: expected an object")
+        kind = d.get("kind")
+        if kind is None:
+            raise ConfigError(f"{path}.kind: missing required key")
+        if not isinstance(kind, str) or kind not in sections:
+            raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
+        return sections[kind].parse({k: v for k, v in d.items() if k != "kind"}, path)
+
+    def dump(obj):
+        kind = kinds.get(type(obj))
+        if kind is None:
+            raise ValidationError(f"unknown model object {type(obj).__name__}")
+        return {"kind": kind, **sections[kind].dump(obj)}
+
+    return _Codec(parse, dump)
+
+
+def _list(item: _Codec) -> _Codec:
+    def parse(v, path):
+        if not isinstance(v, list):
+            raise ConfigError(f"{path}: expected a list")
+        return tuple(item.parse(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+    return _Codec(parse, lambda items: [item.dump(x) for x in items])
+
+
+_MODEL = _kinds(
+    tls=_section(TlsEnsemble, beta=_BETA),
+    disordered_tls=_section(DisorderedTls, disorder=_section(DisorderSpec, kind=_RAW)),
+    vibronic=_section(VibronicModel, m_max=_INTEGER),
+    multilevel=_section(MultilevelModel, levels=_rows(2, "[omega, population] pairs"),
+                        dipoles=_rows(3, "[low, high, amplitude] triples")),
+    tabulated_chi=_section(TabulatedChi, path=_PATH),
+)
+_METHOD = _section(MethodSpec, kind=_RAW, n_modes=_COUNT)
+_SCENARIO = _fields(
+    Scenario,
+    cavity=_section(CavityParams),
+    model=_MODEL,
+    grid=_section(FrequencyGrid, n_points=_INTEGER),
+    method=_Codec(  # a string s is short for {"kind": s}; "harmonic" is the one it completes
+        lambda v, path: _METHOD.parse({"kind": v} if isinstance(v, str) else v, path),
+        lambda m: m.kind if m.kind == "harmonic" else _METHOD.dump(m),
     ),
-    "tabulated_chi": _section(TabulatedChi, path=_PATH),
-}
-_MODEL_KIND = {codec.build: kind for kind, codec in _MODELS.items()}
-
-
-def _model_kind(model) -> str:
-    kind = _MODEL_KIND.get(type(model))
-    if kind is None:
-        raise ValidationError(f"unknown model object {type(model).__name__}")
-    return kind
-
-
-def _parse_model(d, path: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kind = d.get("kind")
-    if kind is None:
-        raise ConfigError(f"{path}.kind: missing required key")
-    if not isinstance(kind, str) or kind not in _MODELS:
-        raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
-    return _MODELS[kind].parse({k: v for k, v in d.items() if k != "kind"}, path)
-
-
-def _dump_model(model) -> dict:
-    kind = _model_kind(model)
-    return {"kind": kind, **_MODELS[kind].dump(model)}
-
-
-def _parse_method(v, path: str) -> MethodSpec:
-    if v == "harmonic" or v == {"kind": "harmonic"}:
-        return MethodSpec("harmonic")
-    if isinstance(v, dict) and v.get("kind") == "finite_n":
-        return _FINITE_N.parse(v, path)
-    raise ConfigError(
-        f'{path}: expected "harmonic" or {{"kind": "finite_n", "n_modes": M}}'
-    )
-
-
-def _parse_outputs(v, path: str) -> tuple:
-    if not isinstance(v, list):
-        raise ConfigError(f"{path}: expected a list")
-    outs = tuple(_OUTPUT.parse(out, f"{path}[{i}]") for i, out in enumerate(v))
-    for i, out in enumerate(outs):
-        if out.csv is None and out.svg is None:  # it would dump as {}
-            raise ConfigError(f"{path}[{i}]: needs a csv or svg path")
-    return outs
-
-
-_SCENARIO = {
-    "cavity": _section(CavityParams),
-    "model": _Codec(_parse_model, _dump_model),
-    "grid": _section(FrequencyGrid, n_points=_INTEGER),
-    "method": _Codec(
-        _parse_method,
-        lambda m: "harmonic" if m.kind == "harmonic" else _FINITE_N.dump(m),
-    ),
-    "outputs": _Codec(_parse_outputs, lambda outs: [_OUTPUT.dump(o) for o in outs], True),
-}
+    outputs=_list(_section(OutputSpec, csv=_PATH, svg=_PATH)),
+)
 
 
 def parse_scenario(cfg: dict) -> Scenario:
@@ -385,7 +377,7 @@ def scenario_to_config(s: Scenario) -> dict:
 
 def model_susceptibility(model, grid: FrequencyGrid) -> ComplexSpectrum:
     """``model.chi(grid)`` of a model object of the field table."""
-    _model_kind(model)  # an object that is no model is a ValidationError
+    _MODEL.dump(model)  # an object that is no model is a ValidationError
     return model.chi(grid)
 
 
@@ -407,11 +399,11 @@ def run_scenario(
 ) -> TraSpectra:
     """Compute the scenario's spectra and write its configured outputs."""
     tra = _compute(s)
-    for out in (*s.outputs, OutputSpec(out_csv, out_svg)):
-        if out.csv:
-            fileio.write_tra_csv(out.csv, tra)
-        if out.svg:
-            fileio.write_tra_svg(out.svg, tra)
+    for csv_path, svg_path in [(o.csv, o.svg) for o in s.outputs] + [(out_csv, out_svg)]:
+        if csv_path:
+            fileio.write_tra_csv(csv_path, tra)
+        if svg_path:
+            fileio.write_tra_svg(svg_path, tra)
     return tra
 
 
@@ -646,10 +638,8 @@ def main(argv=None) -> int:
             if sinks:
                 print("wrote: " + " ".join(sinks))
             else:
-                print(
-                    "no outputs configured; use --out/--svg or an outputs list",
-                    file=sys.stderr,
-                )
+                print("no outputs configured; use --out/--svg or an outputs list",
+                      file=sys.stderr)
             peaks = local_maxima(tra.transmission)
             at = " at " + " ".join(f"{f:+.6g}" for f, _ in peaks[:8]) if peaks else ""
             print(f"transmission maxima: {len(peaks)}{at}")

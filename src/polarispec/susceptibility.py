@@ -440,8 +440,11 @@ def chi_disordered(
     if d.kind == "lorentzian":
         return replace(m, omega_exc=d.center, gamma=m.gamma + d.sigma).chi(grid)
     ngg = _line_weight(m.n_emitters, m.g)
-    z = (grid.points - d.center + 0.5j * m.gamma) / (d.sigma * math.sqrt(2.0))
-    vals = 1j * ngg * math.sqrt(0.5 * math.pi) / d.sigma * faddeeva(z)
+    z = grid.points - d.center + 0.5j * m.gamma
+    z /= d.sigma * math.sqrt(2.0)
+    vals = faddeeva(z)
+    del z  # one grid-sized array less at the peak
+    vals *= 1j * ngg * math.sqrt(0.5 * math.pi) / d.sigma
     return ComplexSpectrum(grid, vals)
 
 
@@ -475,44 +478,6 @@ def chi_from_spectral_density(
     return ComplexSpectrum(grid, _reflect(omega, _pole_sum(np.abs(omega), poles)))
 
 
-def _correlation_fourier(c2, omega: np.ndarray, spacing: float) -> np.ndarray:
-    """-2 * Int_0^inf e^{i|w|t} Im C(t) dt at ascending uniform ``omega``.
-
-    The trapezoid sum over the samples of ``c2`` by :func:`_chirp_z`: one
-    transform for the w >= 0 points, and one for the |w| of the negative
-    points unless all of them are among those.  A negative point whose
-    |w| is a w >= 0 point takes that row, so rows at +w and -w share one
-    value.  The zero phase row at w = 0 is the plain (real) sum.  Warns
-    when the samples have not decayed by the end of the window, since
-    then the transform is visibly truncated.
-    """
-    vals = np.asarray(c2.values, dtype=complex)
-    if abs(vals[-1]) > 1e-3 * abs(vals[0]):
-        warnings.warn(
-            "correlation function has not decayed over the sampled window; "
-            "the transform is truncated and the result loses accuracy",
-            AccuracyWarning,
-            stacklevel=3,
-        )
-    tg = c2.grid
-    weighted = -2.0 * _trapezoid_weights(tg.n_points, tg.spacing) * vals.imag
-
-    def at(y):  # y: ascending uniform |w| values
-        return _chirp_z(weighted, 0.0, tg.spacing, y[0], spacing, y.size, 1)
-
-    k0 = int(np.searchsorted(omega, 0.0))
-    pos, neg = omega[k0:], -omega[:k0][::-1]
-    out = np.empty(omega.size, dtype=complex)
-    if pos.size:
-        out[k0:] = at(pos)
-    if neg.size:
-        shared = np.isin(neg, pos)
-        out_neg = np.empty(neg.size, dtype=complex) if shared.all() else at(neg)
-        out_neg[shared] = out[k0 + np.searchsorted(pos, neg[shared])]
-        out[:k0] = out_neg[::-1]
-    return out
-
-
 def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
     """Susceptibility from a one-sided dipole correlation function.
 
@@ -522,17 +487,41 @@ def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
 
         chi(w) = -[C(w) + conj(C(-w))] = -2 * Int_0^inf e^{iwt} Im C(t) dt,
 
-    evaluated by trapezoidal summation at every distinct |w| with one
-    chirp-z transform (:func:`polarispec.core._chirp_z`): O((N+K) log(N+K))
-    for N samples and K points, within ~1e-13 of the direct sum.  Since
-    Im C is real, the formula itself obeys chi(-w) = conj(chi(w));
-    negative frequencies are filled by that reflection, so rows at +w and
-    -w agree exactly and chi(0), the plain sum, is real.  Warns when the
-    samples have not decayed by the end of the window, since then the
-    transform is visibly truncated.
+    evaluated by trapezoidal summation at every distinct |w| with the
+    chirp-z transform (:func:`polarispec.core._chirp_z`): one for the
+    w >= 0 points, and one for the |w| of the negative points unless each
+    mirrors one of those; O((N+K) log(N+K)) for N samples and K points,
+    within ~1e-13 of the direct sum.  Since Im C is real, the formula
+    itself obeys chi(-w) = conj(chi(w)); negative frequencies are filled
+    by that reflection, so rows at +w and -w agree exactly and chi(0),
+    the plain sum, is real.  Warns when the samples have not decayed by
+    the end of the window, since then the transform is visibly truncated.
     """
+    vals = np.asarray(c2.values, dtype=complex)
+    if abs(vals[-1]) > 1e-3 * abs(vals[0]):
+        warnings.warn(
+            "correlation function has not decayed over the sampled window; "
+            "the transform is truncated and the result loses accuracy",
+            AccuracyWarning,
+            stacklevel=2,
+        )
+    tg = c2.grid
+    weighted = -2.0 * _trapezoid_weights(tg.n_points, tg.spacing) * vals.imag
+
+    def at(y):  # y: ascending uniform |w| values
+        return _chirp_z(weighted, 0.0, tg.spacing, y[0], grid.spacing, y.size, 1)
+
     omega = grid.points
-    chi = _correlation_fourier(c2, omega, grid.spacing)
+    k0 = int(np.searchsorted(omega, 0.0))
+    pos, neg = omega[k0:], -omega[:k0][::-1]
+    chi = np.empty(omega.size, dtype=complex)
+    if pos.size:
+        chi[k0:] = at(pos)
+    if neg.size:
+        shared = np.isin(neg, pos)
+        chi_neg = np.empty(neg.size, dtype=complex) if shared.all() else at(neg)
+        chi_neg[shared] = chi[k0 + np.searchsorted(pos, neg[shared])]
+        chi[:k0] = chi_neg[::-1]
     return ComplexSpectrum(grid, _reflect(omega, chi))
 
 

@@ -19,8 +19,11 @@ from polarispec.core import _BLOCK, ValidationError, make_grid
 from polarispec.susceptibility import (
     _WEIDEMAN_A,
     _WEIDEMAN_L,
+    DisorderSpec,
+    TlsEnsemble,
     TransitionSet,
     _pole_sum,
+    chi_disordered,
     chi_multilevel,
     faddeeva,
 )
@@ -216,6 +219,8 @@ class TestPeakMemory:
         peaks = {
             "chi_multilevel": (_traced_peak(chi_multilevel, ts, g), 16 * self.n),
             "faddeeva": (_traced_peak(faddeeva, z), 16 * self.n),
+            "chi_disordered": (_traced_peak(chi_disordered, TlsEnsemble(1, 1.5, 0, math.inf, 0.1),
+                                            DisorderSpec("gaussian", 3, 1), g), 16 * self.n),
             "effective_temperature": (_traced_peak(effective_temperature, ts, g), 8 * self.n),
         }
         over = {k: peak for k, (peak, out) in peaks.items() if peak > 2 * out + self.slack}

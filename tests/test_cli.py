@@ -12,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from polarispec.cli import (
     ConfigError,
+    MethodSpec,
+    OutputSpec,
     Scenario,
     export_bundle,
     main,
@@ -129,6 +131,59 @@ class TestParsing:
         cfg["method"] = {"kind": "finite_n", "n_modes": 8, "gamma_mode": gamma_mode}
         with pytest.raises(ConfigError, match=r"^method: gamma_mode must be > 0$"):
             parse_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "cls, args, message",
+        [
+            pytest.param(MethodSpec, ("finite_n",), "n_modes", id="finite_n-without-n_modes"),
+            pytest.param(MethodSpec, ("bogus", 16), "unknown method kind", id="unknown-kind"),
+            pytest.param(MethodSpec, ("harmonic", 16), "harmonic", id="harmonic-with-n_modes"),
+            pytest.param(MethodSpec, ("harmonic", None, 0.1), "harmonic",
+                         id="harmonic-with-gamma_mode"),
+            pytest.param(OutputSpec, (), "needs a csv or svg path", id="output-without-path"),
+            pytest.param(OutputSpec, ("",), "needs a csv or svg path", id="output-empty-path"),
+        ],
+    )
+    def test_method_and_output_check_themselves(self, cls, args, message):
+        with pytest.raises(ValidationError, match=message):
+            cls(*args)
+
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            pytest.param({"kind": "harmonic", "n_modes": 8},
+                         "method: a harmonic method takes no n_modes or gamma_mode",
+                         id="harmonic-with-n_modes"),
+            pytest.param({"kind": "harmonic", "gamma_mode": 0.1},
+                         "method: a harmonic method takes no n_modes or gamma_mode",
+                         id="harmonic-with-gamma_mode"),
+            pytest.param({"kind": "bogus", "n_modes": 8}, "method: unknown method kind 'bogus'",
+                         id="unknown-kind"),
+            pytest.param("bogus", "method: unknown method kind 'bogus'", id="unknown-string"),
+            pytest.param("finite_n", "method: finite_n needs n_modes", id="finite_n-string"),
+            pytest.param(["harmonic"], "method: expected an object", id="list"),
+        ],
+    )
+    def test_method_rules_hold_in_the_config(self, method, message):
+        cfg = preset_config("fig2a")
+        cfg["method"] = method
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_scenario(cfg)
+
+    def test_harmonic_method_object_is_the_shorthand(self):
+        cfg = preset_config("fig2a")
+        cfg["method"] = {"kind": "harmonic"}
+        s = parse_scenario(cfg)
+        assert s == parse_scenario(preset_config("fig2a"))
+        assert scenario_to_config(s)["method"] == "harmonic"
+
+    def test_foreign_model_object_is_not_serialized(self):
+        s = parse_scenario(preset_config("fig2a"))
+        foreign = Scenario(s.cavity, object(), s.grid, s.method)
+        with pytest.raises(ValidationError, match="^unknown model object object$"):
+            scenario_to_config(foreign)
+        with pytest.raises(ValidationError, match="^unknown model object object$"):
+            model_susceptibility(foreign.model, s.grid)
 
     def test_sweep_parameter_must_resolve(self):
         cfg = preset_config("fig2b")
@@ -686,6 +741,14 @@ class TestMainEntry:
         assert err.startswith("error: a grid of 401 points with a bath of n_modes = ")
         assert f"n_modes = {cli._MAX_COUNT - 1} does not fit" in err
         assert err.count("\n") == 1
+
+    def test_empty_output_path_is_one_error_line(self, tmp_path, capsys):
+        cfg = preset_config("fig2a")
+        cfg["outputs"] = [{"csv": ""}]
+        assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: outputs[0]: needs a csv or svg path\n"
 
     def test_four_level_ladder_runs_and_a_high_low_dipole_is_refused(self, tmp_path, capsys):
         cfg = preset_config("fig5a")
