@@ -240,7 +240,8 @@ def effective_temperature(
     whole per-point chain (line sums, ratio, inversion check, logarithm,
     division by w, dead points), so its buffers stay in cache; each point
     adds its lines in list order, so no value depends on the block it
-    falls in.  An inversion anywhere on the grid raises.
+    falls in.  An inversion anywhere on the grid raises.  A set with no
+    emission weight (all p_z zero) is +inf everywhere, without line sums.
     """
     if len(ts) == 0:
         raise ValidationError("transition set is empty")
@@ -251,18 +252,16 @@ def effective_temperature(
             "effective_temperature expects uphill transitions only; "
             "emission weights are taken from p_z"
         )
-    omega = grid.points
-    lines = [
-        (w0, 0.25 * g**2, wt * g, p_y, p_z)
-        for w0, wt, p_y, p_z, g in zip(
-            *(a.tolist() for a in (ts.omega_zy, ts.weight, ts.p_y, ts.p_z, ts.gamma))
-        )
-    ]
+    if not ts.p_z.any():
+        return EffectiveTemperature(grid, np.full(grid.n_points, math.inf))
+    cols = (ts.omega_zy, ts.weight, ts.p_y, ts.p_z, ts.gamma)
+    lines = [(w0, 0.25 * g**2, wt * g, p_y, p_z)
+             for w0, wt, p_y, p_z, g in zip(*(a.tolist() for a in cols))]
     vals = np.empty(grid.n_points)
     # per block: the two sums, one line's Lorentzian and its share
     num, den, kern, share = np.empty((4, min(grid.n_points, _BLOCK)))
     for sl in _blocks(grid.n_points):
-        w = omega[sl]
+        w = grid.points[sl]
         nb, db, kb, sb = num[: w.size], den[: w.size], kern[: w.size], share[: w.size]
         nb.fill(0.0)
         db.fill(0.0)

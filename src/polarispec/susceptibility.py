@@ -400,11 +400,26 @@ def _pole_sum(omega: np.ndarray, poles) -> np.ndarray:
     return vals
 
 
-def _reflect(omega: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Turn chi(|w|) into chi(w): chi(-w) = conj(chi(w)), and chi(0) is real."""
-    vals[omega < 0] = np.conj(vals[omega < 0])
-    vals[omega == 0] = vals[omega == 0].real
-    return vals
+def _mirrored(omega: np.ndarray, at) -> np.ndarray:
+    """chi on the ascending ``omega`` from ``at(y)``, chi at ascending y >= 0.
+
+    ``at`` runs on the w >= 0 points, and on the |w| of the w < 0 points
+    unless each mirrors one of those and copies its value; w < 0 takes
+    chi(-w) = conj(chi(w)), and chi(0) is made real.
+    """
+    k0 = int(np.searchsorted(omega, 0.0))
+    pos, neg = omega[k0:], -omega[:k0][::-1]
+    chi = np.empty(omega.size, dtype=complex)
+    if pos.size:
+        chi[k0:] = at(pos)
+        if pos[0] == 0:
+            chi[k0] = chi[k0].real
+    if neg.size:
+        shared = np.isin(neg, pos)
+        chi_neg = np.empty(neg.size, dtype=complex) if shared.all() else at(neg)
+        chi_neg[shared] = chi[k0 + np.searchsorted(pos, neg[shared])]
+        np.conj(chi_neg[::-1], out=chi[:k0])
+    return chi
 
 
 def chi_multilevel(ts: TransitionSet, grid: FrequencyGrid) -> ComplexSpectrum:
@@ -456,15 +471,14 @@ def chi_from_spectral_density(
     Evaluates chi(w >= 0) = -(1/pi) * Int J(w') / (w - w' + i*gamma_reg/2) dw'
     by the trapezoid rule on J's grid: the pole sum of J's samples, one
     pole (w'_j, gamma_reg, trap_j * J_j / pi) each, as in
-    :func:`chi_multilevel`.  Negative frequencies are filled by the
-    reflection chi(-w) = conj(chi(w)), which forces chi(0) to be real: the
-    one-sided formula's real part (the imaginary part it drops is the
-    gamma_reg tail of J leaking to w = 0).  ``gamma_reg`` defaults to
-    twice the spacing of J's grid, the smallest value that still buries
-    the discretization scale.
+    :func:`chi_multilevel`, once per distinct |w| (:func:`_mirrored`).
+    Negative frequencies are filled by the reflection
+    chi(-w) = conj(chi(w)), which forces chi(0) to be real: the one-sided
+    formula's real part (the imaginary part it drops is the gamma_reg tail
+    of J leaking to w = 0).  ``gamma_reg`` defaults to twice the spacing of
+    J's grid, the smallest value that still buries the discretization scale.
     """
-    jv = J.values
-    jw = J.grid.points
+    jv, jw = J.values, J.grid.points
     _require(">= 0", **{"spectral density": jv})
     if np.any(jv[jw < 0] != 0):
         raise ValidationError("spectral density must vanish at negative frequencies")
@@ -473,9 +487,8 @@ def chi_from_spectral_density(
     _require("> 0", gamma_reg=gamma_reg)
 
     wj = _trapezoid_weights(jw.size, J.grid.spacing) * jv / math.pi
-    poles = ((x, gamma_reg, s) for x, s in zip(jw.tolist(), wj.tolist()))
-    omega = grid.points
-    return ComplexSpectrum(grid, _reflect(omega, _pole_sum(np.abs(omega), poles)))
+    poles = [(x, gamma_reg, s) for x, s in zip(jw.tolist(), wj.tolist())]
+    return ComplexSpectrum(grid, _mirrored(grid.points, lambda y: _pole_sum(y, poles)))
 
 
 def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
@@ -487,15 +500,14 @@ def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
 
         chi(w) = -[C(w) + conj(C(-w))] = -2 * Int_0^inf e^{iwt} Im C(t) dt,
 
-    evaluated by trapezoidal summation at every distinct |w| with the
-    chirp-z transform (:func:`polarispec.core._chirp_z`): one for the
-    w >= 0 points, and one for the |w| of the negative points unless each
-    mirrors one of those; O((N+K) log(N+K)) for N samples and K points,
-    within ~1e-13 of the direct sum.  Since Im C is real, the formula
-    itself obeys chi(-w) = conj(chi(w)); negative frequencies are filled
-    by that reflection, so rows at +w and -w agree exactly and chi(0),
+    evaluated by trapezoidal summation with the chirp-z transform
+    (:func:`polarispec.core._chirp_z`) once per distinct |w|, through the
+    mirror rule shared with :func:`chi_from_spectral_density`
+    (:func:`_mirrored`); O((N+K) log(N+K)) for N samples and K points,
+    within ~1e-13 of the direct sum.  Im C is real, so the formula obeys
+    chi(-w) = conj(chi(w)): rows at +w and -w agree exactly and chi(0),
     the plain sum, is real.  Warns when the samples have not decayed by
-    the end of the window, since then the transform is visibly truncated.
+    the end of the window (a visibly truncated sum).
     """
     vals = np.asarray(c2.values, dtype=complex)
     if abs(vals[-1]) > 1e-3 * abs(vals[0]):
@@ -511,18 +523,7 @@ def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
     def at(y):  # y: ascending uniform |w| values
         return _chirp_z(weighted, 0.0, tg.spacing, y[0], grid.spacing, y.size, 1)
 
-    omega = grid.points
-    k0 = int(np.searchsorted(omega, 0.0))
-    pos, neg = omega[k0:], -omega[:k0][::-1]
-    chi = np.empty(omega.size, dtype=complex)
-    if pos.size:
-        chi[k0:] = at(pos)
-    if neg.size:
-        shared = np.isin(neg, pos)
-        chi_neg = np.empty(neg.size, dtype=complex) if shared.all() else at(neg)
-        chi_neg[shared] = chi[k0 + np.searchsorted(pos, neg[shared])]
-        chi[:k0] = chi_neg[::-1]
-    return ComplexSpectrum(grid, _reflect(omega, chi))
+    return ComplexSpectrum(grid, _mirrored(grid.points, at))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ The pole sum, the effective-temperature chain and the Faddeeva polynomial
 run a large grid in blocks of ``core._BLOCK`` points.  Each reference
 below is the same arithmetic over the whole grid at once; results are
 compared as uint64 so that a block boundary that rounds one value
-differently, or flips the sign of a zero, fails.
+differently, or flips the sign of a zero, fails.  The same references pin
+the kernels that skip values they already know: the density transform
+evaluates each distinct |w| once, and a set without emission weight skips
+the effective-temperature line sums.
 """
 
 import math
@@ -14,16 +17,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polarispec import bathmap, susceptibility
 from polarispec.bathmap import _INVERSION_MSG, effective_temperature
-from polarispec.core import _BLOCK, ValidationError, make_grid
+from polarispec.core import _BLOCK, RealSpectrum, ValidationError, make_grid
 from polarispec.susceptibility import (
     _WEIDEMAN_A,
     _WEIDEMAN_L,
     DisorderSpec,
     TlsEnsemble,
     TransitionSet,
+    VibronicModel,
     _pole_sum,
     chi_disordered,
+    chi_from_spectral_density,
     chi_multilevel,
     faddeeva,
 )
@@ -166,6 +172,78 @@ class TestEffectiveTemperatureBlocks:
         assert inverted.size and inverted.min() >= (n - 1) // _BLOCK * _BLOCK
         with pytest.raises(ValidationError, match="inverted"):
             effective_temperature(ts, g)
+
+
+def _reflect(omega, vals):
+    """chi(|w|) to chi(w): chi(-w) = conj(chi(w)), and chi(0) is real."""
+    vals[omega < 0] = np.conj(vals[omega < 0])
+    vals[omega == 0] = vals[omega == 0].real
+    return vals
+
+
+def _density_poles(J, gamma_reg):
+    """The density transform's poles: one per sample, strength trap_j * J_j / pi."""
+    trap = np.full(J.grid.n_points, J.grid.spacing)
+    trap[[0, -1]] *= 0.5
+    strengths = (trap * J.values / math.pi).tolist()
+    return [(x, gamma_reg, s) for x, s in zip(J.grid.points.tolist(), strengths)]
+
+
+def _lorentzian_density():
+    w = make_grid(0.0, 8.0, 401).points
+    return RealSpectrum(make_grid(0.0, 8.0, 401), np.where(w > 0, 0.35 / ((w - 3.0) ** 2 + 0.09), 0.0))
+
+
+class TestDistinctValuesOnce:
+    """Values the kernels know without computing them equal the full computation."""
+
+    J = _lorentzian_density()
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        (-4.0, 4.0, 4097),  # mirror-exact, w = 0 on the grid
+        (-3.0, 8.0, 4401),  # unmirrored negative points
+        (0.01, 6.0, 999),  # one-sided positive
+        (-8.0, -1.0, 999),  # all negative
+    ])
+    def test_density_transform_is_the_reflected_pole_sum(self, lo, hi, n):
+        grid = make_grid(lo, hi, n)
+        poles = _density_poles(self.J, 0.04)
+        want = _reflect(grid.points, _pole_sum_unblocked(np.abs(grid.points), poles))
+        _assert_bitwise(chi_from_spectral_density(self.J, grid, 0.04).values, want)
+
+    def test_mirrored_grid_runs_one_pole_sum_on_its_distinct_points(self, monkeypatch):
+        sizes = []
+
+        def recording(omega, poles):
+            sizes.append(omega.size)
+            return _pole_sum(omega, poles)
+
+        monkeypatch.setattr(susceptibility, "_pole_sum", recording)
+        chi_from_spectral_density(self.J, make_grid(-4.0, 4.0, 4097))
+        assert sizes == [2049]
+
+    def test_set_without_emission_weight_is_at_zero_temperature(self, monkeypatch):
+        g = make_grid(3.0, 9.0, 601)
+        ts = VibronicModel(1.0, 0.5, 6.0, 0.3, 3.0, 0.1).transitions()
+        assert not ts.p_z.any()
+        want = _effective_temperature_unblocked(ts, g.points)
+
+        def refuse(n):
+            raise AssertionError("the line sums ran")
+
+        monkeypatch.setattr(bathmap, "_blocks", refuse)
+        got = effective_temperature(ts, g).values
+        assert np.isposinf(got).all()
+        _assert_bitwise(got, want)
+
+    def test_underflowing_linewidth_is_at_zero_temperature(self):
+        # 0.25 * gamma**2 underflows to 0, so the line's kernel is inf at w = w0,
+        # and the line sums would give inf * 0 = nan there
+        g = make_grid(0.5, 1.5, 101)
+        ts = TransitionSet.from_arrays([1.0], [1.0], [1.0], [0.0], [1e-170])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.isnan(_effective_temperature_unblocked(ts, g.points)).any()
+        assert np.isposinf(effective_temperature(ts, g).values).all()
 
 
 class TestFaddeevaBlocks:

@@ -841,9 +841,10 @@ class TestTransformProperties:
         J = _density(lines)
         trap = np.full(_J_GRID.n_points, _J_GRID.spacing)
         trap[[0, -1]] *= 0.5
-        ts = TransitionSet(
-            Transition(x, wt * j / math.pi, 1.0, 0.0, gamma_reg)
-            for x, wt, j in zip(_J_GRID.points, trap, J.values)
+        n = _J_GRID.n_points
+        ts = TransitionSet.from_arrays(
+            _J_GRID.points, trap * J.values / math.pi, np.ones(n), np.zeros(n),
+            np.full(n, gamma_reg),
         )
         g = make_grid(0.0, 4.0, 129)
         chi = chi_from_spectral_density(J, g, gamma_reg).values
