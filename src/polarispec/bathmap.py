@@ -15,7 +15,8 @@ function.  This module provides the pieces of that dictionary:
 
 A bath holds its modes as three read-only arrays (frequency, coupling,
 linewidth), which :func:`discretize_bath` fills directly; a
-:class:`BathMode` record is the view of one mode.
+:class:`BathMode` record is the view of one mode, checked when it
+enters its bath.
 
 Conventions: hbar = 1; densities live on positive frequencies only; the
 two-sided extension C(-t) = conj(C(t)) of a stationary ensemble is used
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .core import (
     _chirp_z,
     _Columns,
     _count,
-    _Record,
     _require,
     _Samples,
     _trapezoid_weights,
@@ -114,13 +114,30 @@ class EffectiveTemperature(_Samples):
             raise ValidationError("beta_eff must be >= 0 (or +inf)")
 
 
-@dataclass(frozen=True)
-class BathMode(_Record):
-    """One surrogate oscillator: frequency, coupling, linewidth."""
+class BathMode(NamedTuple):
+    """One surrogate oscillator: frequency, coupling, linewidth.
+
+    A record is plain data: it is checked by :meth:`DiscretizedBath.check`
+    when it enters a bath.
+    """
 
     omega: float
     coupling: float
     gamma: float
+
+
+class DiscretizedBath(_Columns, LineModel):
+    """Finite surrogate bath as read-only float64 arrays; couplings are real, >= 0.
+
+    One array per :class:`BathMode` field, under the field's name, built
+    from records (``DiscretizedBath([BathMode(...), ...])``) or from arrays
+    (``DiscretizedBath.from_arrays(omega, coupling, gamma)``) and validated
+    once, on either path, by :meth:`check`, the one place a mode is
+    checked.  ``modes`` and iteration give the modes back as records.
+    """
+
+    record = BathMode
+    modes = property(tuple, doc="The modes as a tuple of BathMode records.")
 
     @staticmethod
     def check(omega, coupling, gamma) -> None:
@@ -130,20 +147,6 @@ class BathMode(_Record):
         _require("> 0", **{"mode frequency": omega})
         _require(">= 0", **{"mode coupling": coupling})
         _require("> 0", **{"mode linewidth": gamma})
-
-
-class DiscretizedBath(_Columns, LineModel):
-    """Finite surrogate bath as read-only float64 arrays; couplings are real, >= 0.
-
-    One array per :class:`BathMode` field, under the field's name, built
-    from records (``DiscretizedBath([BathMode(...), ...])``) or from arrays
-    (``DiscretizedBath.from_arrays(omega, coupling, gamma)``) and validated
-    once by :meth:`BathMode.check`.  ``modes`` and iteration give the modes
-    back as records.
-    """
-
-    record = BathMode
-    modes = property(tuple, doc="The modes as a tuple of BathMode records.")
 
     @property
     def total_coupling_sq(self) -> float:
@@ -178,8 +181,6 @@ def correlation_from_transitions(
     a stationary ensemble matters (see
     :func:`polarispec.susceptibility.with_mirror_transitions`).
     """
-    if len(ts) == 0:
-        raise ValidationError("transition set is empty")
     t = tg.times
     vals = np.zeros(t.size, dtype=complex)
     for w0, wt, p_y, g in zip(*(a.tolist() for a in (ts.omega_zy, ts.weight, ts.p_y, ts.gamma))):
@@ -243,8 +244,6 @@ def effective_temperature(
     falls in.  An inversion anywhere on the grid raises.  A set with no
     emission weight (all p_z zero) is +inf everywhere, without line sums.
     """
-    if len(ts) == 0:
-        raise ValidationError("transition set is empty")
     if grid.omega_min <= 0:
         raise ValidationError("effective temperature needs a positive grid")
     if (ts.omega_zy < 0).any():

@@ -18,7 +18,7 @@ no dense block is ever built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,24 +59,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Record:
-    """Frozen dataclass validated by ``check(*columns)``, one float array per field."""
-
-    def __post_init__(self):
-        values = [getattr(self, f.name) for f in fields(self)]
-        self.check(*np.array(values, dtype=float).reshape(-1, 1))
-
-
 class _Columns:
-    """Records of the type ``record`` held as one read-only float64 array per field.
+    """``record`` named tuples held as one read-only float64 array per field.
 
     ``cls(records)`` and ``cls.from_arrays(*arrays)`` (in field order) store
-    the same arrays, validated once by ``record.check``, under the field
-    names; iteration yields the records again.  Instances are immutable.
+    the same arrays under the field names, validated once by the set's
+    ``check``: a record is plain data, checked when it enters its set.
+    Iteration yields the records again.  Instances are immutable.
     """
 
     def __init__(self, records=()):
-        names = [f.name for f in fields(self.record)]
+        names = self.record._fields
         rows = [[getattr(r, n) for n in names] for r in records]
         self._store(np.array(rows, dtype=float).reshape(-1, len(names)).T)
 
@@ -88,26 +81,23 @@ class _Columns:
         return obj
 
     def _store(self, arrays) -> None:
-        names = [f.name for f in fields(self.record)]
+        names = self.record._fields
         cols = [_readonly(np.asarray(a, dtype=float)) for a in arrays]
         if len(cols) != len(names) or any(c.ndim != 1 or c.shape != cols[0].shape for c in cols):
-            raise ValidationError(f"need one 1-D array of one length per field {names}")
-        self.record.check(*cols)
+            raise ValidationError(f"need one 1-D array of one length per field {list(names)}")
+        self.check(*cols)
         self.__dict__.update(zip(names, cols))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self) -> int:
-        return getattr(self, fields(self.record)[0].name).size
+        return getattr(self, self.record._fields[0]).size
 
     def __iter__(self):
-        # the columns passed the check already, so the records skip __post_init__
-        names = [f.name for f in fields(self.record)]
-        for row in zip(*(getattr(self, n).tolist() for n in names)):
-            record = object.__new__(self.record)
-            record.__dict__.update(zip(names, row))
-            yield record
+        make = self.record._make
+        for row in zip(*(getattr(self, n).tolist() for n in self.record._fields)):
+            yield make(row)
 
 
 # the most complex128 values whose size in bytes numpy can index: a larger

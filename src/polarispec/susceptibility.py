@@ -30,6 +30,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .core import (
     _chirp_z,
     _Columns,
     _count,
-    _Record,
     _require,
     _trapezoid_weights,
 )
@@ -75,14 +75,14 @@ __all__ = [
 # Domain types
 
 
-@dataclass(frozen=True)
-class Transition(_Record):
+class Transition(NamedTuple):
     """One dipole-allowed transition between stationary states.
 
     ``omega_zy`` is the (signed) transition frequency, ``weight`` the
     squared collective coupling carried by the line, ``p_y``/``p_z`` the
     populations of the initial and final state, and ``gamma`` the
-    linewidth regularizing the pole.
+    linewidth regularizing the pole.  A record is plain data: it is
+    checked by :meth:`TransitionSet.check` when it enters a set.
     """
 
     omega_zy: float
@@ -91,17 +91,6 @@ class Transition(_Record):
     p_z: float
     gamma: float
 
-    @staticmethod
-    def check(omega_zy, weight, p_y, p_z, gamma) -> None:
-        """Raise ValidationError unless every line of the float arrays is valid."""
-        _require("finite", **{"transition frequency": omega_zy})
-        _require(">= 0", **{"transition weight": weight})
-        for name, p in (("p_y", p_y), ("p_z", p_z)):
-            bad = ~((p >= 0) & (p <= 1))
-            if bad.any():
-                raise ValidationError(f"{name} must lie in [0, 1], got {p[bad][0]}")
-        _require("> 0", gamma=gamma)
-
 
 class TransitionSet(_Columns):
     """Ordered lines as read-only float64 arrays; order fixes summation order.
@@ -109,12 +98,25 @@ class TransitionSet(_Columns):
     One array per :class:`Transition` field, under the field's name, built
     from records (``TransitionSet([Transition(...), ...])``) or from arrays
     (``TransitionSet.from_arrays(omega_zy, weight, p_y, p_z, gamma)``) and
-    validated once by :meth:`Transition.check`.  ``transitions`` and
-    iteration give the lines back as records.
+    validated once, on either path, by :meth:`check`, the one place a line
+    is checked.  ``transitions`` and iteration give the lines back as records.
     """
 
     record = Transition
     transitions = property(tuple, doc="The lines as a tuple of Transition records.")
+
+    @staticmethod
+    def check(omega_zy, weight, p_y, p_z, gamma) -> None:
+        """Raise ValidationError unless the float arrays hold valid lines, at least one."""
+        if omega_zy.size == 0:
+            raise ValidationError("transition set is empty")
+        _require("finite", **{"transition frequency": omega_zy})
+        _require(">= 0", **{"transition weight": weight})
+        for name, p in (("p_y", p_y), ("p_z", p_z)):
+            bad = ~((p >= 0) & (p <= 1))
+            if bad.any():
+                raise ValidationError(f"{name} must lie in [0, 1], got {p[bad][0]}")
+        _require("> 0", gamma=gamma)
 
 
 class LineModel:
@@ -224,12 +226,11 @@ class VibronicModel(LineModel):
         _require("finite", omega_exc=self.omega_exc)
         if math.exp(-self.huang_rhys) < sys.float_info.min:
             raise ValidationError("huang_rhys must be < 708.3964: exp(-huang_rhys) underflows")
-        if self.m_max is not None and not (
-            isinstance(self.m_max, (int, np.integer)) and 0 <= self.m_max < _MAX_COUNT
-        ):  # m_max + 1 weights
-            raise ValidationError(
-                f"m_max must be an integer >= 0 and < {_MAX_COUNT}, got {self.m_max!r}"
-            )
+        if self.m_max is not None:
+            # no upper bound: the progression stops where its weights underflow
+            if not (isinstance(self.m_max, (int, np.integer)) and self.m_max >= 0):
+                raise ValidationError(f"m_max must be an integer >= 0, got {self.m_max!r}")
+            object.__setattr__(self, "m_max", int(self.m_max))  # m_max + 1 cannot wrap
         _line_weight(self.n_emitters, self.g)
 
     def transitions(self) -> TransitionSet:
@@ -430,8 +431,6 @@ def chi_multilevel(ts: TransitionSet, grid: FrequencyGrid) -> ComplexSpectrum:
     regardless of how callers split or parallelize over frequency, and of
     the blocks :func:`_pole_sum` runs a large grid in.
     """
-    if len(ts) == 0:
-        raise ValidationError("transition set is empty")
     strength = (ts.p_y - ts.p_z) * ts.weight
     poles = zip(ts.omega_zy.tolist(), ts.gamma.tolist(), strength.tolist())
     return ComplexSpectrum(grid, _pole_sum(grid.points, poles))

@@ -16,6 +16,7 @@ from polarispec.bathmap import (
     BathMode,
     CorrelationFunction,
     DiscretizedBath,
+    EffectiveTemperature,
     correlation_from_transitions,
     discretize_bath,
     effective_temperature,
@@ -412,13 +413,45 @@ class TestContainers:
 
     def test_bath_mode_validation(self):
         with pytest.raises(ValidationError):
-            BathMode(-1.0, 0.5, 0.1)
+            DiscretizedBath([BathMode(-1.0, 0.5, 0.1)])
         with pytest.raises(ValidationError):
-            BathMode(1.0, -0.5, 0.1)
+            DiscretizedBath([BathMode(1.0, -0.5, 0.1)])
         with pytest.raises(ValidationError):
-            BathMode(1.0, 0.5, 0.0)
+            DiscretizedBath([BathMode(1.0, 0.5, 0.0)])
         with pytest.raises(ValidationError):
             DiscretizedBath([])
+
+
+class TestRefusals:
+    """Each documented refusal of a bath-dictionary input raises its own message."""
+
+    def test_correlation_with_a_negative_initial_value(self):
+        with pytest.raises(ValidationError, match=r"^C\(0\) must have a nonnegative real part$"):
+            CorrelationFunction(TimeGrid(1.0, 3), np.array([-1.0, 0.5, 0.2], dtype=complex))
+
+    @pytest.mark.parametrize("omega_min", [0.0, -1.0])
+    def test_effective_temperature_on_a_grid_reaching_zero(self, omega_min):
+        with pytest.raises(ValidationError, match="^effective temperature lives on omega > 0$"):
+            EffectiveTemperature(make_grid(omega_min, 1.0, 3), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_or_nan_effective_temperature(self, bad):
+        with pytest.raises(ValidationError, match=r"^beta_eff must be >= 0 \(or \+inf\)$"):
+            EffectiveTemperature(make_grid(0.5, 1.0, 3), np.array([1.0, bad, math.inf]))
+
+    def test_density_where_the_bath_is_saturated(self):
+        g = make_grid(0.5, 4.0, 8)
+        beta_eff = EffectiveTemperature(g, np.where(g.points > 2.0, 0.0, 1.0))
+        message = "^J > 0 where beta_eff = 0: a saturated line cannot carry weight$"
+        with pytest.raises(ValidationError, match=message):
+            reconstruct_correlation(RealSpectrum(g, np.ones(8)), beta_eff, TimeGrid(1.0, 5))
+
+    def test_density_supported_below_zero_is_not_discretized(self):
+        g = make_grid(-1.0, 1.0, 21)
+        J = RealSpectrum(g, np.where(g.points > -0.5, 1.0, 0.0))
+        message = "^spectral density must be supported on omega >= 0$"
+        with pytest.raises(ValidationError, match=message):
+            discretize_bath(J, 4)
 
 
 def _modes_one_at_a_time(J, n_modes, gamma_mode=None):
@@ -497,8 +530,9 @@ class TestBathArrays:
         ],
     )
     def test_invalid_field_gives_the_same_message_on_both_paths(self, field, value, message):
+        bad = BathMode(**dict(_VALID_MODE, **{field: value}))  # a record is not checked
         with pytest.raises(ValidationError) as record_error:
-            BathMode(**dict(_VALID_MODE, **{field: value}))
+            DiscretizedBath([BathMode(**_VALID_MODE), bad])
         columns = {f: [v, v] for f, v in _VALID_MODE.items()}
         columns[field] = [_VALID_MODE[field], value]
         with pytest.raises(ValidationError) as array_error:

@@ -658,8 +658,6 @@ class TestMainEntry:
                          id="levels"),
             pytest.param("fig4", "model.m_max", 10**400, "model.m_max: expected an integer, got",
                          id="m_max-digits"),
-            pytest.param("fig4", "model.m_max", 10**30,
-                         "model: m_max must be an integer >= 0 and < ", id="m_max-size"),
             pytest.param("fig2a", "grid.n_points", 2**63,
                          "grid: n_points must be an integer in [2, ", id="n_points-2**63"),
             pytest.param("fig2a", "grid.n_points", 10**30,
@@ -680,6 +678,17 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: " + message) and err.count("\n") == 1
         assert len(err) < 200  # a long value is cut short
+
+    def test_m_max_beyond_any_progression_runs(self, tmp_path, capsys):
+        # the progression stops where its weights underflow, whatever m_max says
+        cfg = preset_config("fig4")
+        cfg["model"]["m_max"] = 10**30
+        assert parse_scenario(cfg).model.m_max == 10**30
+        argv = ["spectrum", "--config", _write_config(tmp_path, cfg), "--points", "401"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "no outputs configured; use --out/--svg or an outputs list\n"
+        assert captured.out.startswith("transmission maxima: ")
 
     @pytest.mark.parametrize(
         "preset, model, message",
@@ -764,7 +773,106 @@ class TestMainEntry:
         )
 
 
+def _edited(preset, edit):
+    cfg = preset_config(preset)
+    edit(cfg)
+    return cfg
+
+
+def _populations_sweep(values):
+    return {"base": preset_config("fig5a"), "parameter": "model.populations", "values": values}
+
+
+class TestConfigRefusals:
+    """Each refusal of a configuration is exit 2 with one exact ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            pytest.param("spectrum", _edited("fig2a", lambda c: c.update(model=5)),
+                         "model: expected an object", id="model-not-an-object"),
+            pytest.param("spectrum", _edited("fig2a", lambda c: c["model"].pop("kind")),
+                         "model.kind: missing required key", id="model-kind-missing"),
+            pytest.param("spectrum", _edited("fig2a", lambda c: c["model"].update(kind="qubit")),
+                         "model.kind: unknown model kind 'qubit'", id="model-kind-unknown"),
+            pytest.param("spectrum", _edited("fig2a", lambda c: c.update(outputs={"csv": "x"})),
+                         "outputs: expected a list", id="outputs-not-a-list"),
+            pytest.param("sweep", _edited("fig2b", lambda c: c.update(parameter="")),
+                         "sweep.parameter: expected a dotted path string", id="parameter-empty"),
+            pytest.param("sweep", _edited("fig2b", lambda c: c.update(parameter=["model"])),
+                         "sweep.parameter: expected a dotted path string",
+                         id="parameter-not-a-string"),
+            pytest.param("sweep", _edited("fig2b", lambda c: c.update(values=[])),
+                         "sweep.values: expected a nonempty list", id="values-empty"),
+            pytest.param("sweep", _edited("fig2b", lambda c: c.update(values="inf")),
+                         "sweep.values: expected a nonempty list", id="values-not-a-list"),
+            pytest.param("sweep", _edited("fig2b", lambda c: c.update(
+                parameter="model.populations", values=[[1.0, 0.0]])),
+                         "sweep.parameter: model.populations needs a multilevel model",
+                         id="populations-of-a-tls"),
+            pytest.param("sweep", _populations_sweep([[0.7, 0.2, 0.1], [0.5, 0.5]]),
+                         "sweep.values: each populations value needs one entry per level",
+                         id="populations-too-short"),
+            pytest.param("sweep", _populations_sweep([0.5]),
+                         "sweep.values: each populations value needs one entry per level",
+                         id="populations-not-a-list"),
+            pytest.param("sweep", preset_config("fig2a"),
+                         "sweep configuration needs top-level keys base/parameter/values",
+                         id="sweep-of-a-scenario"),
+            pytest.param("bundle", preset_config("fig2b"),
+                         "bundle takes a scenario, not a sweep", id="bundle-of-a-sweep"),
+        ],
+    )
+    def test_refused_config(self, tmp_path, capsys, command, cfg, message):
+        outdir = tmp_path / "out"
+        argv = [command, "--config", _write_config(tmp_path, cfg)]
+        assert main(argv if command == "spectrum" else argv + ["--outdir", str(outdir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_neither_config_nor_preset(self, capsys, command):
+        assert main([command]) == 2
+        assert capsys.readouterr().err == "error: one of --config or --preset is required\n"
+
+    @pytest.mark.parametrize("document", [[1, 2], "fig2a", 5, None])
+    def test_top_level_that_is_not_an_object(self, tmp_path, capsys, document):
+        path = _write_config(tmp_path, document)
+        assert main(["spectrum", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: top level must be an object\n"
+
+    def test_bundle_on_a_grid_without_two_positive_frequencies(self, tmp_path, capsys):
+        cfg = preset_config("fig2a")
+        cfg["grid"] = {"omega_min": -4.0, "omega_max": 0.004, "n_points": 1001}
+        argv = ["bundle", "--config", _write_config(tmp_path, cfg), "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "note: beta_eff.csv omitted (grid has fewer than two positive frequencies)\n"
+        )
+        assert not (tmp_path / "beta_eff.csv").exists()
+        assert (tmp_path / "spectra.csv").exists()
+
+
 class TestCsvFormats:
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValidationError, match="^all columns must have equal length$"):
+            fileio.write_columns(str(path), "a,b", [np.ones(3), np.ones(2)])
+        assert os.listdir(tmp_path) == []
+
+    def test_chi_table_with_two_columns_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "chi.csv"
+        path.write_text("omega,re_chi,im_chi\n0.0,1.0\n1.0,1.0\n2.0,1.0\n")
+        message = f"{path}: expected 3 columns, got 2"
+        with pytest.raises(ValidationError) as info:
+            fileio.read_chi_csv(str(path))
+        assert str(info.value) == message
+        cfg = preset_config("empty_cavity")
+        cfg["model"]["path"] = str(path)
+        assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_chi_header_validated(self, tmp_path):
         path = tmp_path / "chi.csv"
         path.write_text("omega,re,im\n0.0,1.0,2.0\n")

@@ -260,11 +260,13 @@ class TestChiVibronic:
 
     def test_progression_stops_where_the_weights_underflow(self):
         g = make_grid(-4.0, 4.0, 4001)
-        huge, capped = (VibronicModel(1.0, 1.0, 0.0, 0.3, 3.0, 0.1, m_max=m)
-                        for m in (10**6, 300))
+        vast, huge, capped = (VibronicModel(1.0, 1.0, 0.0, 0.3, 3.0, 0.1, m_max=m)
+                              for m in (10**30, 10**6, 300))
         assert len(huge.transitions()) <= 300
         assert np.array_equal(huge.chi(g).values.view(np.uint64),
                               capped.chi(g).values.view(np.uint64))
+        assert np.array_equal(vast.chi(g).values.view(np.uint64),
+                              huge.chi(g).values.view(np.uint64))
 
     @pytest.mark.parametrize("s, lines", [(3.0, 23), (30.0, 77)])
     def test_preset_sized_progressions_keep_their_lines(self, s, lines):
@@ -414,11 +416,18 @@ class TestModelsRejectNonFiniteParameters:
         with pytest.raises(ValidationError, match=message):
             MultilevelModel(levels, [(1, 2, 1.0), (2, 3, 1.0)], 1.0, g_scale, 0.3)
 
-    @pytest.mark.parametrize("m_max", [2.5, -0.0, 2.0, -1, "3", 10**30])
+    @pytest.mark.parametrize("m_max", [2.5, -0.0, 2.0, -1, "3"])
     def test_vibronic_m_max_must_be_a_nonnegative_integer(self, m_max):
         # 2.5 and -0.0 used to pass here and fail later inside np.empty
         with pytest.raises(ValidationError, match="m_max must be an integer >= 0"):
             VibronicModel(1.0, 1.0, 2.0, 0.2, 0.5, 0.1, m_max=m_max)
+
+    @pytest.mark.parametrize("m_max", [10**30, np.uint64(2**64 - 1), np.int64(2**63 - 1)])
+    def test_vibronic_m_max_has_no_upper_bound(self, m_max):
+        # the progression stops where its weights underflow, whatever m_max says
+        model = VibronicModel(1.0, 1.0, 2.0, 0.2, 0.5, 0.1, m_max=m_max)
+        assert type(model.m_max) is int and model.m_max == m_max
+        assert len(model.transitions()) < 300
 
     def test_vibronic_m_max_accepts_numpy_integers(self):
         capped = VibronicModel(1.0, 1.0, 2.0, 0.2, 0.5, 0.1, m_max=np.int64(2))
@@ -479,8 +488,9 @@ class TestTransitionSetArrays:
         ],
     )
     def test_invalid_field_gives_the_same_message_on_both_paths(self, field, value, message):
+        bad = Transition(**dict(_VALID_LINE, **{field: value}))  # a record is not checked
         with pytest.raises(ValidationError) as record_error:
-            Transition(**dict(_VALID_LINE, **{field: value}))
+            TransitionSet([Transition(**_VALID_LINE), bad])
         columns = {f: [v, v] for f, v in _VALID_LINE.items()}
         columns[field] = [_VALID_LINE[field], value]  # the second line is the bad one
         with pytest.raises(ValidationError) as array_error:
@@ -508,9 +518,22 @@ class TestTransitionSetArrays:
                 with pytest.raises(AttributeError):
                     setattr(built, f, np.zeros(2))
 
-    def test_empty_set_is_empty(self):
-        assert len(TransitionSet([])) == 0
-        assert TransitionSet([]).transitions == ()
+    def test_empty_set_is_refused_on_both_paths(self):
+        for build in (lambda: TransitionSet([]), lambda: TransitionSet.from_arrays(*[[]] * 5)):
+            with pytest.raises(ValidationError, match="^transition set is empty$"):
+                build()
+
+    def test_a_record_is_plain_data_checked_by_its_set(self):
+        line = Transition(**_VALID_LINE)
+        assert tuple(line) == (1.0, 0.5, 0.9, 0.1, 0.3)
+        assert Transition._make(tuple(line)) == line == Transition(1.0, 0.5, 0.9, 0.1, 0.3)
+        assert line._replace(gamma=0.2).gamma == 0.2 and line.gamma == 0.3
+        assert hash(line) == hash(Transition(**_VALID_LINE))
+        with pytest.raises(AttributeError):
+            line.gamma = 0.2
+        bad = line._replace(p_y=1.5)  # built without a check
+        with pytest.raises(ValidationError, match=r"^p_y must lie in \[0, 1\], got 1.5$"):
+            TransitionSet([bad])
 
     def test_mirror_keeps_the_lines_then_their_mirrors_in_order(self):
         lines = [
