@@ -48,6 +48,7 @@ from .core import (
     _chirp_z,
     _Columns,
     _count,
+    _frozen,
     _require,
     _Samples,
     _trapezoid_weights,
@@ -185,7 +186,7 @@ def correlation_from_transitions(
     vals = np.zeros(t.size, dtype=complex)
     for w0, wt, p_y, g in zip(*(a.tolist() for a in (ts.omega_zy, ts.weight, ts.p_y, ts.gamma))):
         vals += (p_y * wt) * np.exp((-1j * w0 - 0.5 * g) * t)
-    return CorrelationFunction(tg, vals)
+    return CorrelationFunction(tg, _frozen(vals))
 
 
 def spectral_density_from_correlation(
@@ -211,7 +212,7 @@ def spectral_density_from_chi(chi: ComplexSpectrum) -> RealSpectrum:
     """Coupling density as the positive-frequency absorption, Im chi."""
     omega = chi.grid.points
     vals = np.where(omega >= 0, chi.values.imag, 0.0)
-    return RealSpectrum(chi.grid, _clip_density(vals))
+    return RealSpectrum(chi.grid, _frozen(_clip_density(vals)))
 
 
 def _clip_density(vals: np.ndarray) -> np.ndarray:
@@ -252,7 +253,7 @@ def effective_temperature(
             "emission weights are taken from p_z"
         )
     if not ts.p_z.any():
-        return EffectiveTemperature(grid, np.full(grid.n_points, math.inf))
+        return EffectiveTemperature(grid, _frozen(np.full(grid.n_points, math.inf)))
     cols = (ts.omega_zy, ts.weight, ts.p_y, ts.p_z, ts.gamma)
     lines = [(w0, 0.25 * g**2, wt * g, p_y, p_z)
              for w0, wt, p_y, p_z, g in zip(*(a.tolist() for a in cols))]
@@ -281,7 +282,7 @@ def effective_temperature(
         out = np.log(np.maximum(ratio, 1.0, out=ratio), out=vals[sl])
         out /= w
         out[dead] = math.inf
-    return EffectiveTemperature(grid, vals)
+    return EffectiveTemperature(grid, _frozen(vals))
 
 
 def reconstruct_correlation(
@@ -322,7 +323,7 @@ def reconstruct_correlation(
         np.stack([cos_part, sin_part]), omega[0], J.grid.spacing,
         0.0, tg.spacing, tg.n_points, -1,
     )
-    return CorrelationFunction(tg, rows[0].real + 1j * rows[1].imag)
+    return CorrelationFunction(tg, _frozen(rows[0].real + 1j * rows[1].imag))
 
 
 def discretize_bath(

@@ -8,8 +8,9 @@ functions of their inputs.
 
 The transforms weight their samples with ``_trapezoid_weights``.  The
 pointwise kernels (pole sum, effective-temperature line sum, Faddeeva
-polynomial) run a large grid in blocks of ``_BLOCK`` points
-(``_blocks``) and add one pole or term at a time; the Fourier sums over
+polynomial, and the spectra formula T/R/A from chi) run a large grid in
+blocks of ``_BLOCK`` points (``_blocks``), the first three adding one pole
+or term at a time; the Fourier sums over
 two uniform grids (correlation <-> chi, J and C(t)) are one chirp-z
 transform each, ``_chirp_z``, in O((N+K) log(N+K)) with ``numpy.fft``;
 no dense block is ever built.
@@ -54,7 +55,22 @@ class GainWarning(UserWarning):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it owns its data and is read-only, else a read-only copy.
+
+    A producer that hands its fresh result to a container marks it
+    read-only first (:func:`_frozen`), so the container takes it over
+    uncopied; a writeable array, or a view of someone else's data, is
+    copied, so no later write to the caller's array reaches the container.
+    """
+    if a.flags.owndata and not a.flags.writeable:
+        return a
     a = np.array(a, copy=True)
+    a.flags.writeable = False
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, a fresh array its caller gives away, marked read-only (see :func:`_readonly`)."""
     a.flags.writeable = False
     return a
 
@@ -75,7 +91,7 @@ class _Columns:
 
     @classmethod
     def from_arrays(cls, *arrays):
-        """The set with ``arrays`` (copied) as its fields, in field order."""
+        """The set with ``arrays`` as its fields, in field order (held as :func:`_readonly`)."""
         obj = cls.__new__(cls)
         obj._store(arrays)
         return obj
@@ -194,6 +210,9 @@ class TimeGrid:
 class _Samples:
     """Values of the class's ``dtype``, one per point of ``grid``, held read-only.
 
+    ``values`` is taken over when it is an array of ``dtype`` that owns its
+    data and is read-only already, and copied otherwise (:func:`_readonly`).
+
     ``__post_init__`` checks the shape and then calls :meth:`check`, which
     subclasses extend with their own rules.
     """
@@ -250,12 +269,9 @@ class TraSpectra:
         g = self.transmission.grid
         if self.reflection.grid != g or self.absorption.grid != g:
             raise ValidationError("T, R and A must share one frequency grid")
-        total = (
-            self.transmission.values
-            + self.reflection.values
-            + self.absorption.values
-        )
-        worst = np.abs(total - 1.0).max()
+        t, r, a = (s.values for s in (self.transmission, self.reflection, self.absorption))
+        # block by block, so the check holds no grid-sized buffer
+        worst = max(np.abs(t[sl] + r[sl] + a[sl] - 1.0).max() for sl in _blocks(t.size))
         if worst > _ENERGY_BALANCE_TOL:
             raise ValidationError(
                 f"T + R + A deviates from 1 by {worst:.3e} "

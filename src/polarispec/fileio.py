@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ComplexSpectrum, FrequencyGrid, RealSpectrum, TraSpectra, ValidationError
-from .core import _two_product
+from .core import _frozen, _two_product
 from .bathmap import CorrelationFunction, EffectiveTemperature
 
 __all__ = [
@@ -218,7 +218,7 @@ def read_chi_csv(path: str) -> ComplexSpectrum:
     ):
         raise ValidationError(f"{path}: frequency column must be uniform ascending")
     grid = FrequencyGrid(float(omega[0]), float(omega[-1]), omega.size)
-    return ComplexSpectrum(grid, data[:, 1] + 1j * data[:, 2])
+    return ComplexSpectrum(grid, _frozen(data[:, 1] + 1j * data[:, 2]))
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ class TabulatedChi:
     def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
         """The table on ``grid``: verbatim on its own grid, else interpolated."""
         if self.path is None:
-            return ComplexSpectrum(grid, np.zeros(grid.n_points, dtype=complex))
+            return ComplexSpectrum(grid, _frozen(np.zeros(grid.n_points, dtype=complex)))
         chi = read_chi_csv(self.path)
         if chi.grid == grid:
             return chi
@@ -244,7 +244,7 @@ class TabulatedChi:
             )
         re = np.interp(grid.points, chi.grid.points, chi.values.real)
         im = np.interp(grid.points, chi.grid.points, chi.values.imag)
-        return ComplexSpectrum(grid, re + 1j * im)
+        return ComplexSpectrum(grid, _frozen(re + 1j * im))
 
 
 def write_jeff_csv(path: str, J: RealSpectrum) -> None:

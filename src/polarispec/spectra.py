@@ -11,12 +11,16 @@ photon element is the Schur complement (O'Leary & Stewart 1990)
                 - sum_k g_k^2 / (w - omega_k + i gamma_k/2)),
 
 i.e. the closed propagator fed the bath's pole-sum susceptibility
-``bath.chi(grid)``: O(N*M) for N frequencies and M modes, O(N) memory,
-no matrix formed.  For harmonic (or effectively harmonic) ensembles the
+``bath.chi(grid)``: O(N*M) for N frequencies and M modes, no matrix
+formed.  For harmonic (or effectively harmonic) ensembles the
 two routes converge as M grows, which the test suite uses as a check.
 
 :func:`spectra_harmonic` is the one runtime formula of both routes; its
-A = 2 kappa_L Im chi |D|^2 is exactly >= 0 for a passive chi.  The port
+A = 2 kappa_L Im chi |D|^2 is exactly >= 0 for a passive chi.  It runs
+the grid in blocks of ``core._BLOCK`` points: each block forms den and
+|den|^2 and writes T, A and R straight into the three outputs, which the
+spectra then hold uncopied, so the formula needs 24 bytes per point,
+besides chi (16), and block-sized buffers.  The port
 formulas (input drive on the left, detection on both sides)
 
     T = kappa_L kappa_R |D|^2
@@ -44,6 +48,8 @@ from .core import (
     NumericalError,
     RealSpectrum,
     TraSpectra,
+    _blocks,
+    _frozen,
     _require,
 )
 
@@ -79,18 +85,27 @@ class CavityParams:
         return self.kappa_L + self.kappa_R
 
 
-def _denominator(chi: ComplexSpectrum, cav: CavityParams):
+def _denominator(omega: np.ndarray, chi: np.ndarray, cav: CavityParams):
     """The propagator denominator w - omega_ph + i kappa/2 + chi(w) and its |.|**2.
 
-    It can only vanish for a lossless, transparent system, which the cavity
-    validation excludes; a near-zero is a numerical error, not an overflow.
+    Runs on one block of frequencies ``omega`` and their ``chi`` values,
+    and raises NumericalError before anything divides by a denominator
+    below 1e-14 of its terms' scale |w - omega_ph| + kappa/2 + |chi|.  For
+    a passive chi (Im chi >= 0) Im den >= kappa/2 > 0, so den cannot
+    vanish: only gain can cancel the cavity loss.  A passive chi is
+    refused only where kappa/2 is itself below 1e-14 of the scale, where
+    the rounding of Re den (about 1e-16 of the scale) can move |den|**2
+    by a percent or more.
     """
-    den = chi.grid.points - cav.omega_ph + 0.5j * cav.kappa + chi.values
+    den = omega - cav.omega_ph + 0.5j * cav.kappa + chi
     mag2 = den.real**2 + den.imag**2
-    if mag2.min() < 1e-28:  # |den| < 1e-14
+    scale = np.abs(omega - cav.omega_ph) + 0.5 * cav.kappa + np.abs(chi)
+    bad = np.flatnonzero(mag2 < 1e-28 * scale**2)
+    if bad.size:
+        i = bad[0]
         raise NumericalError(
-            "photon propagator denominator vanishes "
-            f"(min |den| = {np.sqrt(mag2.min()):.3e}); inputs are unphysical"
+            f"photon propagator denominator vanishes at w = {omega[i]:.6g} "
+            f"(|den| = {np.sqrt(mag2[i]):.3e}, below 1e-14 of its scale {scale[i]:.3e})"
         )
     return den, mag2
 
@@ -102,8 +117,12 @@ def photon_green_function(
 
     D(w) = 1 / (w - omega_ph + i kappa/2 + chi(w)).
     """
-    den, _ = _denominator(chi, cav)
-    return ComplexSpectrum(chi.grid, 1.0 / den)
+    omega, x = chi.grid.points, chi.values
+    vals = np.empty(x.size, dtype=complex)
+    for sl in _blocks(x.size):
+        den, _ = _denominator(omega[sl], x[sl], cav)
+        np.divide(1.0, den, out=vals[sl])
+    return ComplexSpectrum(chi.grid, _frozen(vals))
 
 
 def _assemble(grid, transmission, reflection, absorption) -> TraSpectra:
@@ -115,9 +134,9 @@ def _assemble(grid, transmission, reflection, absorption) -> TraSpectra:
             stacklevel=3,
         )
     return TraSpectra(
-        RealSpectrum(grid, transmission),
-        RealSpectrum(grid, reflection),
-        RealSpectrum(grid, absorption),
+        RealSpectrum(grid, _frozen(transmission)),
+        RealSpectrum(grid, _frozen(reflection)),
+        RealSpectrum(grid, _frozen(absorption)),
     )
 
 
@@ -140,11 +159,14 @@ def spectra_harmonic(chi: ComplexSpectrum, cav: CavityParams) -> TraSpectra:
     the port formulas of :func:`spectra_from_green`, but A >= 0 exactly for
     a passive chi (module docstring).
     """
-    _, mag2 = _denominator(chi, cav)
-    transmission = cav.kappa_L * cav.kappa_R / mag2
-    absorption = 2.0 * cav.kappa_L * chi.values.imag / mag2
-    reflection = 1.0 - transmission - absorption
-    return _assemble(chi.grid, transmission, reflection, absorption)
+    omega, x = chi.grid.points, chi.values
+    t, r, a = (np.empty(x.size) for _ in range(3))
+    for sl in _blocks(x.size):
+        _, mag2 = _denominator(omega[sl], x[sl], cav)
+        np.divide(cav.kappa_L * cav.kappa_R, mag2, out=t[sl])
+        np.divide(2.0 * cav.kappa_L * x[sl].imag, mag2, out=a[sl])
+        np.subtract(1.0 - t[sl], a[sl], out=r[sl])
+    return _assemble(chi.grid, t, r, a)
 
 
 def green_finite_n(

@@ -46,6 +46,7 @@ from .core import (
     _chirp_z,
     _Columns,
     _count,
+    _frozen,
     _require,
     _trapezoid_weights,
 )
@@ -433,7 +434,7 @@ def chi_multilevel(ts: TransitionSet, grid: FrequencyGrid) -> ComplexSpectrum:
     """
     strength = (ts.p_y - ts.p_z) * ts.weight
     poles = zip(ts.omega_zy.tolist(), ts.gamma.tolist(), strength.tolist())
-    return ComplexSpectrum(grid, _pole_sum(grid.points, poles))
+    return ComplexSpectrum(grid, _frozen(_pole_sum(grid.points, poles)))
 
 
 def chi_disordered(
@@ -459,7 +460,7 @@ def chi_disordered(
     vals = faddeeva(z)
     del z  # one grid-sized array less at the peak
     vals *= 1j * ngg * math.sqrt(0.5 * math.pi) / d.sigma
-    return ComplexSpectrum(grid, vals)
+    return ComplexSpectrum(grid, _frozen(vals))
 
 
 def chi_from_spectral_density(
@@ -487,7 +488,8 @@ def chi_from_spectral_density(
 
     wj = _trapezoid_weights(jw.size, J.grid.spacing) * jv / math.pi
     poles = [(x, gamma_reg, s) for x, s in zip(jw.tolist(), wj.tolist())]
-    return ComplexSpectrum(grid, _mirrored(grid.points, lambda y: _pole_sum(y, poles)))
+    chi = _mirrored(grid.points, lambda y: _pole_sum(y, poles))
+    return ComplexSpectrum(grid, _frozen(chi))
 
 
 def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
@@ -522,7 +524,7 @@ def chi_from_correlation(c2, grid: FrequencyGrid) -> ComplexSpectrum:
     def at(y):  # y: ascending uniform |w| values
         return _chirp_z(weighted, 0.0, tg.spacing, y[0], grid.spacing, y.size, 1)
 
-    return ComplexSpectrum(grid, _mirrored(grid.points, at))
+    return ComplexSpectrum(grid, _frozen(_mirrored(grid.points, at)))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +564,8 @@ def faddeeva(z):
     if np.any(z.imag < 0):
         raise ValidationError("faddeeva requires Im z >= 0")
     flat = z.ravel()
-    w = np.empty(flat.size, dtype=complex)
+    w = np.empty(z.shape, dtype=complex)
+    out = w.reshape(-1)  # a view: the result owns its data
     length = _WEIDEMAN_L
     for sl in _blocks(flat.size):
         zb = flat[sl]
@@ -575,7 +578,7 @@ def faddeeva(z):
             # through its reduction loop, which rounds unlike the array loop
             np.multiply(poly, mapped, out=term)
             np.add(term, a, out=poly)
-        np.add(2.0 * poly * recip**2, (1.0 / math.sqrt(math.pi)) * recip, out=w[sl])
+        np.add(2.0 * poly * recip**2, (1.0 / math.sqrt(math.pi)) * recip, out=out[sl])
     if z.ndim == 0:
-        return complex(w[0])
-    return w.reshape(z.shape)
+        return complex(w)
+    return w

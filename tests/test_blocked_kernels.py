@@ -1,7 +1,7 @@
 """The blocked pointwise kernels against their unblocked loops, bit for bit.
 
-The pole sum, the effective-temperature chain and the Faddeeva polynomial
-run a large grid in blocks of ``core._BLOCK`` points.  Each reference
+The pole sum, the effective-temperature chain, the Faddeeva polynomial and
+the spectra formula run a large grid in blocks of ``core._BLOCK`` points.  Each reference
 below is the same arithmetic over the whole grid at once; results are
 compared as uint64 so that a block boundary that rounds one value
 differently, or flips the sign of a zero, fails.  The same references pin
@@ -19,7 +19,17 @@ from hypothesis import given, settings, strategies as st
 
 from polarispec import bathmap, susceptibility
 from polarispec.bathmap import _INVERSION_MSG, effective_temperature
-from polarispec.core import _BLOCK, RealSpectrum, ValidationError, make_grid
+from polarispec.cli import parse_scenario, preset_config, run_scenario
+from polarispec.core import (
+    _BLOCK,
+    ComplexSpectrum,
+    GainWarning,
+    NumericalError,
+    RealSpectrum,
+    ValidationError,
+    make_grid,
+)
+from polarispec.spectra import CavityParams, photon_green_function, spectra_harmonic
 from polarispec.susceptibility import (
     _WEIDEMAN_A,
     _WEIDEMAN_L,
@@ -271,6 +281,55 @@ class TestFaddeevaBlocks:
         assert type(faddeeva(0.5)) is complex
 
 
+def _spectra_unblocked(omega, chi, cav):
+    """T, R, A and D over the whole grid at once, as one expression each."""
+    den = omega - cav.omega_ph + 0.5j * cav.kappa + chi
+    mag2 = den.real**2 + den.imag**2
+    transmission = cav.kappa_L * cav.kappa_R / mag2
+    absorption = 2.0 * cav.kappa_L * chi.imag / mag2
+    reflection = 1.0 - transmission - absorption
+    return transmission, reflection, absorption, 1.0 / den
+
+
+class TestSpectraBlocks:
+    CAV = CavityParams(0.3, 0.05, 0.02)
+
+    def _check(self, grid, chi):
+        tra = spectra_harmonic(chi, self.CAV)
+        want = _spectra_unblocked(grid.points, chi.values, self.CAV)
+        got = (tra.transmission, tra.reflection, tra.absorption,
+               photon_green_function(chi, self.CAV))
+        for spectrum, reference in zip(got, want):
+            _assert_bitwise(spectrum.values, reference)
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(n=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 0.4, 50.0]))
+    def test_matches_whole_grid_formula(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        g = make_grid(-4.0, 4.0, n)
+        vals = scale * (rng.normal(size=n) + 1j * rng.exponential(size=n))
+        vals[[0, 1, -1]] = [complex(-0.0, 0.0), complex(0.0, -0.0), 0.0]
+        self._check(g, ComplexSpectrum(g, vals))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_gain_matches_whole_grid_formula(self, n):
+        g = make_grid(-4.0, 4.0, n)
+        # Im chi down to -0.02, above -kappa/2 = -0.035: gain, but no pole
+        vals = 0.5 * np.cos(3.0 * g.points) + 0.02j * np.sin(5.0 * g.points)
+        with pytest.warns(GainWarning):
+            self._check(g, ComplexSpectrum(g, vals))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_gain_pole_in_the_last_block_only_raises(self, n):
+        # den = 0 on the last point only: Im chi = -kappa/2 and w - omega_ph + Re chi = 0
+        g = make_grid(-4.0, 0.3, n)
+        vals = np.full(n, 0.1j)
+        vals[-1] = -0.035j
+        with pytest.raises(NumericalError, match="vanishes at w = 0.3 "):
+            spectra_harmonic(ComplexSpectrum(g, vals), self.CAV)
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -281,25 +340,38 @@ def _traced_peak(fn, *args):
 
 
 class TestPeakMemory:
-    """On a 1e6-point grid each kernel needs its output twice (the result and
-    the container's read-only copy) plus block-sized buffers, not one
-    grid-sized temporary per pass."""
+    """On a 1e6-point grid each kernel holds its output, which its container
+    takes over uncopied, plus block-sized buffers, not one grid-sized
+    temporary per pass; the Gaussian chi_disordered also holds the grid-sized
+    z it feeds to the Faddeeva function."""
 
     n = 1_000_000
     slack = 4 * 2**20
 
-    def test_kernels_hold_two_outputs_and_block_buffers(self):
+    def test_kernels_hold_their_outputs_and_block_buffers(self):
         rng = np.random.default_rng(3)
         g = make_grid(0.01, 10.0, self.n)
         ts = TransitionSet.from_arrays(rng.uniform(0.5, 9.5, 23), rng.uniform(0.1, 2.0, 23),
                                        np.full(23, 0.9), np.full(23, 0.1), np.full(23, 0.2))
         z = (g.points - 5.0 + 0.05j) / math.sqrt(2.0)
+        chi = chi_multilevel(ts, g)
+        # bytes per point allowed beyond the 4 MiB of block buffers
         peaks = {
-            "chi_multilevel": (_traced_peak(chi_multilevel, ts, g), 16 * self.n),
-            "faddeeva": (_traced_peak(faddeeva, z), 16 * self.n),
+            "chi_multilevel": (_traced_peak(chi_multilevel, ts, g), 16),
+            "faddeeva": (_traced_peak(faddeeva, z), 16),
             "chi_disordered": (_traced_peak(chi_disordered, TlsEnsemble(1, 1.5, 0, math.inf, 0.1),
-                                            DisorderSpec("gaussian", 3, 1), g), 16 * self.n),
-            "effective_temperature": (_traced_peak(effective_temperature, ts, g), 8 * self.n),
+                                            DisorderSpec("gaussian", 3, 1), g), 2 * 16),
+            "effective_temperature": (_traced_peak(effective_temperature, ts, g), 8),
+            "spectra_harmonic": (_traced_peak(spectra_harmonic, chi, CavityParams(5.0, 0.05, 0.05)),
+                                 3 * 8),
         }
-        over = {k: peak for k, (peak, out) in peaks.items() if peak > 2 * out + self.slack}
-        assert not over, f"traced peaks (bytes) over two outputs + 4 MiB: {over}"
+        over = {k: peak for k, (peak, per_point) in peaks.items()
+                if peak > per_point * self.n + self.slack}
+        assert not over, f"traced peaks (bytes) over their bounds: {over}"
+
+    def test_scenario_holds_chi_and_the_spectra(self):
+        cfg = preset_config("fig2a")
+        cfg["grid"]["n_points"] = self.n
+        s = parse_scenario(cfg)
+        # chi (16 bytes per point) and T, R and A (24)
+        assert _traced_peak(run_scenario, s) <= 40 * self.n + self.slack

@@ -600,12 +600,23 @@ class TestMainEntry:
         assert "error" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
+        # a tabulated gain pole: Im chi(omega_ph) = -kappa/2, so den = 0 at w = 0
+        chi_path = tmp_path / "gain.csv"
+        chi_path.write_text("omega,re_chi,im_chi\n-1,0,-0.05\n0,0,-0.05\n1,0,-0.05\n")
         cfg = preset_config("empty_cavity")
-        cfg["cavity"] = {"omega_ph": 0.0, "kappa_L": 1e-16, "kappa_R": 1e-16}
+        cfg["cavity"] = {"omega_ph": 0.0, "kappa_L": 0.05, "kappa_R": 0.05}
+        cfg["model"] = {"kind": "tabulated_chi", "path": str(chi_path)}
         cfg["grid"] = {"omega_min": -1.0, "omega_max": 1.0, "n_points": 3}
         assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error: photon propagator denominator vanishes")
+
+    def test_tiny_passive_cavity_runs(self, tmp_path, capsys):
+        cfg = preset_config("empty_cavity")
+        cfg["cavity"] = {"omega_ph": 0.0, "kappa_L": 1e-16, "kappa_R": 1e-16}
+        cfg["grid"] = {"omega_min": -1.0, "omega_max": 1.0, "n_points": 3}
+        assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out == "transmission maxima: 1 at +0\n"
 
     def test_bad_json_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

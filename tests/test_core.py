@@ -18,6 +18,7 @@ from polarispec.core import (
     local_maxima,
     make_grid,
 )
+from polarispec.susceptibility import TransitionSet
 
 
 class TestMakeGrid:
@@ -134,6 +135,54 @@ class TestSpectrumContainers:
         a = RealSpectrum(g, np.full(5, 0.3))
         with pytest.raises(ValidationError):
             TraSpectra(t, r, a)
+
+
+def _held_by_real_spectrum(a):
+    return RealSpectrum(make_grid(0, 1, a.size), a).values
+
+
+def _held_by_complex_spectrum(a):
+    return ComplexSpectrum(make_grid(0, 1, a.size), a).values
+
+
+def _held_by_transition_set(a):
+    n = a.size
+    return TransitionSet.from_arrays(a, np.full(n, 0.5), np.full(n, 0.9), np.full(n, 0.1),
+                                     np.full(n, 0.3)).omega_zy
+
+
+class TestAdoption:
+    """A container takes over an owned read-only array and copies anything else."""
+
+    builders = pytest.mark.parametrize("hold, dtype", [
+        (_held_by_real_spectrum, float),
+        (_held_by_complex_spectrum, complex),
+        (_held_by_transition_set, float),
+    ])
+
+    @builders
+    def test_writeable_input_is_copied(self, hold, dtype):
+        a = np.array([1.0, 2.0, 3.0], dtype=dtype)
+        held = hold(a)
+        a[0] = 9.0
+        assert held[0] == 1.0 and not np.shares_memory(held, a)
+        assert not held.flags.writeable
+
+    @builders
+    def test_read_only_view_of_a_writeable_base_is_copied(self, hold, dtype):
+        base = np.array([1.0, 2.0, 3.0, 4.0], dtype=dtype)
+        view = base[1:]
+        view.flags.writeable = False
+        held = hold(view)
+        base[1] = 9.0
+        assert held[0] == 2.0 and not np.shares_memory(held, base)
+
+    @builders
+    def test_owned_read_only_array_is_shared(self, hold, dtype):
+        a = np.array([1.0, 2.0, 3.0], dtype=dtype)
+        a.flags.writeable = False
+        held = hold(a)
+        assert np.shares_memory(held, a) and not held.flags.writeable
 
 
 def _lorentzian(x, x0, gamma):

@@ -377,8 +377,19 @@ class TestLandauer:
 
 class TestNumericalGuards:
     def test_vanishing_denominator_reported(self):
+        # a gain pole: Im chi(omega_ph) = -kappa/2 cancels the cavity loss, so den = 0
+        g = make_grid(-1, 1, 3)
+        cav = CavityParams(0.0, 0.05, 0.05)
+        chi = ComplexSpectrum(g, np.full(3, -0.05j))
+        for route in (photon_green_function, spectra_harmonic):
+            with pytest.raises(NumericalError, match=r"vanishes at w = 0 \(\|den\| = 0\.000e\+00"):
+                route(chi, cav)
+
+    def test_tiny_passive_cavity_runs(self):
+        # |den| >= kappa/2 for a passive chi: a cavity of kappa = 2e-16 is no pole
         g = make_grid(-1, 1, 3)
         cav = CavityParams(0.0, 1e-16, 1e-16)
-        for route in (photon_green_function, spectra_harmonic):
-            with pytest.raises(NumericalError, match=r"min \|den\| = 1\.000e-16"):
-                route(_zero_chi(g), cav)
+        tra = spectra_harmonic(_zero_chi(g), cav)
+        assert tra.transmission.values[1] == 1.0
+        assert tra.transmission.values[[0, 2]].max() < 1e-31
+        assert photon_green_function(_zero_chi(g), cav).values[1] == -1e16j
