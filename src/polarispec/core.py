@@ -10,10 +10,10 @@ The transforms weight their samples with ``_trapezoid_weights``.  The
 pointwise kernels (pole sum, effective-temperature line sum, Faddeeva
 polynomial, and the spectra formula T/R/A from chi) run a large grid in
 blocks of ``_BLOCK`` points (``_blocks``), the first three adding one pole
-or term at a time; the Fourier sums over
-two uniform grids (correlation <-> chi, J and C(t)) are one chirp-z
-transform each, ``_chirp_z``, in O((N+K) log(N+K)) with ``numpy.fft``;
-no dense block is ever built.
+or term at a time, and the CSV writer formats ``_BLOCK`` fields at a time;
+the Fourier sums over two uniform grids (correlation <-> chi, J and C(t))
+are one chirp-z transform each, ``_chirp_z``, in O((N+K) log(N+K)) with
+``numpy.fft``; no dense block is ever built.
 """
 
 from __future__ import annotations
@@ -283,15 +283,17 @@ class TraSpectra:
         return self.transmission.grid
 
 
-# grid points per block of the pointwise kernels: a block's float and complex
-# temporaries (64 KiB and 128 KiB) stay in a core's L2 cache, where a whole
-# large grid streams every temporary through memory once per pole or term
+# grid points per block of the pointwise kernels and fields per block of the
+# CSV formatter, so that a block's temporaries stay in a core's L2 cache: a
+# whole large grid streams each through memory once per pole or term, and at
+# 2**16 fields a formatted number costs about 3x as much (2-vCPU x86 VM)
 _BLOCK = 8192
 
 
-def _blocks(n: int):
-    """Slices covering ``range(n)`` in order, each of at most ``_BLOCK`` points."""
-    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
+def _blocks(n: int, width: int = 1):
+    """Slices covering ``range(n)`` in order, of ``_BLOCK // width`` items (at least 1)."""
+    step = max(1, _BLOCK // width)
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
 def _trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:

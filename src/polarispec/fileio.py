@@ -5,12 +5,13 @@ interpolated onto the requested grid (here, not in ``susceptibility``,
 which cannot import this module).
 
 All CSV output uses 17 significant digits (``%.16e``), which round-trips
-float64 exactly.  Rows are streamed in blocks of ``_BLOCK_ROWS`` rows and
-formatted by :func:`_format_block`, an exact vectorized ``%.16e`` (after
-Adams, "Ryu revisited: printf floating point conversion", 2019): each
-|x| is scaled to 17 digits as a double-double, the rounding is decided
-against a derived error bound, and the rare field it cannot decide is
-formatted alone by ``_FMT %``, so every byte equals CPython's output.
+float64 exactly.  Rows are streamed in blocks of ``core._BLOCK`` fields
+(``core._blocks``), each formatted by :func:`_format_block`, an exact
+vectorized ``%.16e`` (after Adams, "Ryu revisited: printf floating point
+conversion", 2019): each |x| is scaled to 17 digits as a double-double,
+the rounding is decided against a derived error bound, and the rare
+field it cannot decide is formatted alone by ``_FMT %``, so every byte
+equals CPython's output.
 Every file is written atomically (temp file in the target directory,
 then rename) so partially written files never appear under the final
 name.  Headers are fixed strings; readers validate them byte-for-byte.
@@ -21,14 +22,13 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ComplexSpectrum, FrequencyGrid, RealSpectrum, TraSpectra, ValidationError
-from .core import _frozen, _two_product
+from .core import _blocks, _frozen, _two_product
 from .bathmap import CorrelationFunction, EffectiveTemperature
 
 __all__ = [
@@ -44,20 +44,24 @@ __all__ = [
 ]
 
 _FMT = "%.16e"
-_BLOCK_ROWS = 1 << 14  # rows formatted and written per block
 
 
 @contextlib.contextmanager
 def _atomic_open(path: str):
     """Text handle on a temp file beside ``path``, renamed onto it on success.
 
+    The file gets the mode ``open(path, "w")`` would give it: an existing
+    file keeps its permission bits, a new one gets 0o666 less the umask.
     On any exception the temp file is removed and ``path`` is left as it was.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, os.stat(path).st_mode & 0o777)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -71,14 +75,11 @@ def write_columns(path: str, header: str, columns) -> None:
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ValidationError("all columns must have equal length")
-    step = max(1, _PIECE_FIELDS // len(cols))
     with _atomic_open(path) as fh:
         fh.write(header + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            # stacked one block at a time: no copy of the whole table
-            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in cols])
-            pieces = range(0, len(block), step)
-            fh.write("".join([_format_block(block[i : i + step]) for i in pieces]))
+        # stacked one block at a time: no copy of the whole table
+        for sl in _blocks(n, len(cols)):
+            fh.write(_format_block(np.column_stack([c[sl] for c in cols])))
 
 
 # For |x| in [_LOW, _HIGH], E = floor(log10|x|) lies in [-281, 280] (281 after
@@ -88,9 +89,6 @@ _TIE_MARGIN = 2.0**-40  # above the error bound 2**-47 derived in _format_block
 # A field's byte slot is 7 native uint32 words, each filled by one table
 # lookup; NUL bytes ("_") are dropped: _-d. dddd dddd dddd dddd e+ht o,__
 _SLOT, _SEP_BYTE = 28, 25
-# Fields per _format_block call, so that its temporaries stay in cache: at
-# 2**16 fields a number costs about 3x as much (2-vCPU x86 VM).
-_PIECE_FIELDS = 1 << 13
 
 
 @functools.cache
@@ -192,8 +190,8 @@ def write_chi_csv(path: str, chi: ComplexSpectrum) -> None:
 def read_chi_csv(path: str) -> ComplexSpectrum:
     """Read a tabulated susceptibility (``omega,re_chi,im_chi``).
 
-    The frequency column must be a uniform ascending grid; it becomes the
-    spectrum's grid verbatim.
+    The frequency column must be a finite, uniform ascending grid; it
+    becomes the spectrum's grid verbatim.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -212,10 +210,10 @@ def read_chi_csv(path: str) -> ComplexSpectrum:
     if data.shape[1] != 3:
         raise ValidationError(f"{path}: expected 3 columns, got {data.shape[1]}")
     omega = data[:, 0]
+    if not np.isfinite(omega).all():
+        raise ValidationError(f"{path}: frequency column must be finite")
     spacing = np.diff(omega)
-    if spacing.min() <= 0 or np.abs(spacing - spacing[0]).max() > 1e-9 * abs(
-        spacing[0]
-    ):
+    if spacing.min() <= 0 or np.abs(spacing - spacing[0]).max() > 1e-9 * spacing[0]:
         raise ValidationError(f"{path}: frequency column must be uniform ascending")
     grid = FrequencyGrid(float(omega[0]), float(omega[-1]), omega.size)
     return ComplexSpectrum(grid, _frozen(data[:, 1] + 1j * data[:, 2]))

@@ -29,6 +29,7 @@ from polarispec.core import (
     ValidationError,
     make_grid,
 )
+from polarispec.fileio import write_columns
 from polarispec.spectra import CavityParams, photon_green_function, spectra_harmonic
 from polarispec.susceptibility import (
     _WEIDEMAN_A,
@@ -368,6 +369,12 @@ class TestPeakMemory:
         over = {k: peak for k, (peak, per_point) in peaks.items()
                 if peak > per_point * self.n + self.slack}
         assert not over, f"traced peaks (bytes) over their bounds: {over}"
+
+    def test_csv_writer_holds_one_block(self, tmp_path):
+        # one block's table, slots and text, not the file's rows
+        cols = np.random.default_rng(5).random((4, self.n))
+        path = str(tmp_path / "cols.csv")
+        assert _traced_peak(write_columns, path, "a,b,c,d", cols) <= 2 * 2**20
 
     def test_scenario_holds_chi_and_the_spectra(self):
         cfg = preset_config("fig2a")

@@ -35,7 +35,7 @@ from polarispec.core import (
     local_maxima,
     make_grid,
 )
-from polarispec import cli, fileio, susceptibility
+from polarispec import cli, core, fileio, susceptibility
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -931,6 +931,21 @@ class TestCsvFormats:
             fileio.read_chi_csv(str(path))
 
     @pytest.mark.parametrize(
+        "omegas", [(0.0, "nan", 2.0), ("nan", 1.0, 2.0), (0.0, 1.0, "inf"), ("-inf", 0.0)],
+        ids=["interior-nan", "first-nan", "last-inf", "first-inf"],
+    )
+    def test_non_finite_frequency_rejected(self, tmp_path, capsys, omegas):
+        # nan <= 0 and nan > tol are both False: the spacing test alone passes a nan cell
+        path = tmp_path / "chi.csv"
+        path.write_text("omega,re_chi,im_chi\n" + "".join(f"{w},1.0,0.0\n" for w in omegas))
+        with pytest.raises(ValidationError, match="frequency column must be finite"):
+            fileio.read_chi_csv(str(path))
+        cfg = preset_config("empty_cavity")
+        cfg["model"]["path"] = str(path)
+        assert main(["spectrum", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert f"error: {path}: frequency column must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "rows, message",
         [
             ("0.0,1.0,abc\n1.0,1.0,0.0\n", "could not convert string 'abc'"),
@@ -960,8 +975,8 @@ class TestCsvFormats:
     def test_streamed_blocks_match_per_row_format(
         self, tmp_path, monkeypatch, n_cols, blocks, extra
     ):
-        block = 8
-        monkeypatch.setattr(fileio, "_BLOCK_ROWS", block)
+        block = 8  # rows per block
+        monkeypatch.setattr(core, "_BLOCK", block * n_cols)
         n = blocks * block + extra
         rng = np.random.default_rng(n * n_cols)
         cols = [
@@ -976,7 +991,7 @@ class TestCsvFormats:
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, existing):
-        monkeypatch.setattr(fileio, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(core, "_BLOCK", 8)  # 4 rows of 2 fields per block
         target = tmp_path / "out.csv"
         if existing:
             target.write_text("old\n")
@@ -1010,6 +1025,25 @@ class TestCsvFormats:
             assert target.read_text() == "old\n"
         else:
             assert not target.exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_outputs_get_the_mode_open_would_give(self, tmp_path, umask):
+        grid = make_grid(-1.0, 1.0, 5)
+        tra = TraSpectra(*(RealSpectrum(grid, np.full(5, v)) for v in (0.5, 0.25, 0.25)))
+        old = tmp_path / "old.csv"
+        old.write_text("old\n")
+        os.chmod(old, 0o640)  # neither umask's default
+        previous = os.umask(umask)
+        try:
+            open(tmp_path / "plain.txt", "w").close()
+            fileio.write_tra_csv(str(tmp_path / "new.csv"), tra)
+            fileio.write_tra_svg(str(tmp_path / "new.svg"), tra)
+            fileio.write_tra_csv(str(old), tra)
+        finally:
+            os.umask(previous)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == {"plain.txt": 0o666 & ~umask, "new.csv": 0o666 & ~umask,
+                         "new.svg": 0o666 & ~umask, "old.csv": 0o640}
 
     @staticmethod
     def _fmt_rows(header, cols):
@@ -1052,10 +1086,10 @@ class TestCsvFormats:
         # log10 gives exactly -277 for fl(1e-277), which lies below 1e-277
         assert path.read_text() == "h\n9.9999999999999997e-278\n2.2517998136852478e+15\n4.9406564584124654e-324\n"
 
-    @pytest.mark.parametrize("piece", [5, 1 << 13])
-    def test_fallback_and_formatted_fields_share_rows(self, tmp_path, monkeypatch, piece):
-        monkeypatch.setattr(fileio, "_BLOCK_ROWS", 8)
-        monkeypatch.setattr(fileio, "_PIECE_FIELDS", piece)
+    # blocks of 1 row, of 8 rows, and one block of all 29 rows
+    @pytest.mark.parametrize("block", [5, 24, 1 << 13])
+    def test_fallback_and_formatted_fields_share_rows(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(core, "_BLOCK", block)
         rng = np.random.default_rng(7)
         n = 29
         odd = [np.nan, -np.inf, 1e-300, -1e300, 2251799813685247.75, 5e-324, -0.0]
