@@ -179,8 +179,8 @@ def correlation_from_transitions(
     Each line contributes its initial-state population times its weight,
     oscillating at the (signed) transition frequency and decaying at half
     its linewidth.  Pass a mirror-completed set when the emission side of
-    a stationary ensemble matters (see
-    :func:`polarispec.susceptibility.with_mirror_transitions`).
+    a stationary ensemble matters (:func:`.with_mirror_transitions`).  No
+    caller in the package until the bundle writes C(t).
     """
     t = tg.times
     vals = np.zeros(t.size, dtype=complex)
@@ -204,6 +204,7 @@ def spectral_density_from_correlation(
     chi_from_correlation, when the samples have not decayed by the end of
     the window.  A grid whose negative points are not all mirrors of its
     w >= 0 points pays one more transform for rows the density discards.
+    No caller in the package until the bundle writes C(t).
     """
     return spectral_density_from_chi(chi_from_correlation(c2, grid))
 
@@ -297,7 +298,7 @@ def reconstruct_correlation(
     the sin weights at every t_k = k*dt: O((N+K) log(N+K)) for N
     frequencies and K times.  C(0) is the plain sum of the weights, with
     Im C(0) exactly zero.  At beta_eff = +inf the occupation factor is
-    exactly one.
+    exactly one.  No caller in the package until the bundle writes C(t).
     """
     if J.grid != beta_eff.grid:
         raise ValidationError("J and beta_eff must share one frequency grid")

@@ -51,6 +51,7 @@ import argparse
 import copy
 import csv as _csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -430,8 +431,9 @@ def run_sweep(sw: Sweep, outdir: str = ".") -> list[TraSpectra]:
         fileio.write_tra_csv(os.path.join(outdir, f"sweep_{i:03d}.csv"), tra)
         label = value if isinstance(value, str) else json.dumps(value)
         rows.append((label, peak_splitting(tra)))
-    with fileio._atomic_open(os.path.join(outdir, "summary.csv")) as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+    path = os.path.join(outdir, "summary.csv")
+    with fileio._atomic_open(path) as fh, io.TextIOWrapper(fh) as text:  # as open(path, "w")
+        writer = _csv.writer(text, lineterminator="\n")
         writer.writerow(["value", "peak_splitting"])
         for label, split in rows:
             writer.writerow([label, "%.16e" % split])

@@ -48,7 +48,7 @@ _FMT = "%.16e"
 
 @contextlib.contextmanager
 def _atomic_open(path: str):
-    """Text handle on a temp file beside ``path``, renamed onto it on success.
+    """Binary handle on a temp file beside ``path``, renamed onto it on success.
 
     The file gets the mode ``open(path, "w")`` would give it: an existing
     file keeps its permission bits, a new one gets 0o666 less the umask.
@@ -58,7 +58,7 @@ def _atomic_open(path: str):
     tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         with contextlib.suppress(FileNotFoundError):
             os.chmod(tmp, os.stat(path).st_mode & 0o777)
@@ -76,7 +76,7 @@ def write_columns(path: str, header: str, columns) -> None:
     if any(c.size != n for c in cols):
         raise ValidationError("all columns must have equal length")
     with _atomic_open(path) as fh:
-        fh.write(header + "\n")
+        fh.write(f"{header}\n".encode())
         # stacked one block at a time: no copy of the whole table
         for sl in _blocks(n, len(cols)):
             fh.write(_format_block(np.column_stack([c[sl] for c in cols])))
@@ -114,8 +114,8 @@ def _tables():
     return np.array(hi), np.array(lo), *np.split(words, np.cumsum([20, 10**4, len(exps)]))
 
 
-def _format_block(block) -> str:
-    """Rows of ``block`` as CSV text, each field byte-identical to ``_FMT % v``.
+def _format_block(block) -> bytes:
+    """Rows of ``block`` as CSV bytes, each field byte-identical to ``_FMT % v``.
 
     With E = floor(log10|x|) and k = 16 - E, y = |x| * 10**k is p + t:
     (p, e) = _two_product(|x|, hi_k) exactly, t = fl(e + fl(|x| * lo_k)).
@@ -163,7 +163,7 @@ def _format_block(block) -> str:
     for i in np.flatnonzero(fallback):
         text = (_FMT % float(x[i])).encode().ljust(_SEP_BYTE, b"\0")
         slots[i, :_SEP_BYTE] = np.frombuffer(text, np.uint8)
-    return slots[slots != 0].tobytes().decode("ascii")
+    return slots[slots != 0].tobytes()
 
 
 def write_tra_csv(path: str, tra: TraSpectra) -> None:
@@ -336,11 +336,10 @@ def write_tra_svg(path: str, tra: TraSpectra) -> None:
     # decimate long traces to keep files small; peaks survive because the
     # grid is much denser than any plotted feature
     stride = max(1, omega.size // 2000)
-    px = _ML + (omega[::stride] - xlo) / (xhi - xlo) * plot_w
+    px = sx(omega[::stride])
     template = " ".join(["%.2f,%.2f"] * px.size)
     for (label, color), vals in zip(_TRACES, series):
-        py = _MT + (yhi - vals[::stride]) / (yhi - ylo) * plot_h
-        pts = template % tuple(np.column_stack([px, py]).ravel().tolist())
+        pts = template % tuple(np.column_stack([px, sy(vals[::stride])]).ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
@@ -358,4 +357,4 @@ def write_tra_svg(path: str, tra: TraSpectra) -> None:
         )
     parts.append("</svg>")
     with _atomic_open(path) as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(("\n".join(parts) + "\n").encode())

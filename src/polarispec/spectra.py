@@ -27,10 +27,9 @@ formulas (input drive on the left, detection on both sides)
     R = 1 + 2 kappa_L Im D + kappa_L^2 |D|^2
     A = -kappa_L (kappa |D|^2 + 2 Im D)
 
-subtract two nearly equal terms for A.  They are kept, with
-:func:`green_finite_n` and :func:`landauer_transmission`, as the
-independent reference the tests compare against.  Both sets satisfy
-T + R + A = 1 identically.
+subtract two nearly equal terms for A; they are the tests' independent
+reference (see each definition).  Both sets satisfy T + R + A = 1
+identically.
 """
 
 from __future__ import annotations
@@ -113,9 +112,9 @@ def _denominator(omega: np.ndarray, chi: np.ndarray, cav: CavityParams):
 def photon_green_function(
     chi: ComplexSpectrum, cav: CavityParams
 ) -> ComplexSpectrum:
-    """Photon propagator dressed by the molecular response.
+    """Photon propagator dressed by the molecular response, the tests' reference.
 
-    D(w) = 1 / (w - omega_ph + i kappa/2 + chi(w)).
+    D(w) = 1 / (w - omega_ph + i kappa/2 + chi(w)); its one caller is green_finite_n.
     """
     omega, x = chi.grid.points, chi.values
     vals = np.empty(x.size, dtype=complex)
@@ -141,7 +140,7 @@ def _assemble(grid, transmission, reflection, absorption) -> TraSpectra:
 
 
 def spectra_from_green(D: ComplexSpectrum, cav: CavityParams) -> TraSpectra:
-    """Transmission, reflection and absorption from the photon propagator."""
+    """T, R and A from the photon propagator, the tests' reference; perfbench calls it."""
     v = D.values
     mag2 = v.real**2 + v.imag**2
     im = v.imag
@@ -172,10 +171,11 @@ def spectra_harmonic(chi: ComplexSpectrum, cav: CavityParams) -> TraSpectra:
 def green_finite_n(
     bath: DiscretizedBath, cav: CavityParams, grid: FrequencyGrid
 ) -> ComplexSpectrum:
-    """Photon propagator of a finite surrogate bath (the reference route).
+    """Photon propagator of a finite surrogate bath, the tests' reference route.
 
     The Schur complement of the arrowhead matrix's mode block (module
     docstring): :func:`photon_green_function` fed ``bath.chi(grid)``.
+    No caller in the package; perfbench's selftest calls it.
     """
     return photon_green_function(bath.chi(grid), cav)
 
@@ -187,7 +187,7 @@ def landauer_transmission(D: ComplexSpectrum, cav: CavityParams) -> RealSpectrum
     trace Tr[Gamma_L G^dag Gamma_R G] collapses to
     kappa_L * kappa_R * D* D, which is evaluated here literally as the
     conjugate product (an independent path from the |D|^2 route used by
-    :func:`spectra_from_green`).
+    :func:`spectra_from_green`), for the tests; no caller in the package.
     """
     v = D.values
     trace = cav.kappa_L * (np.conj(v) * cav.kappa_R * v)

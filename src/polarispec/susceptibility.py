@@ -15,13 +15,13 @@ ensembles expressible.
 
 Every model object has ``chi(grid)`` and ``transitions()`` (None when
 it has no finite line list).  A :class:`LineModel`, the thermal
-two-level ensemble included, gets chi as the pole sum
-:func:`chi_multilevel` of its transitions, and :class:`DisorderedTls` the
-disorder average :func:`chi_disordered`.  The methods look these
-functions up when called.  The concrete models produce only uphill transitions
-(w_t > 0), i.e. they work in the rotating-wave approximation;
-:func:`chi_multilevel` accepts signed frequencies, so the two-sided
-symmetry ``chi(-w) = conj(chi(w))`` remains expressible.
+two-level ensemble included, builds and checks its lines once, with the
+model, and its chi is their pole sum :func:`chi_multilevel`;
+:class:`DisorderedTls` takes the disorder average :func:`chi_disordered`.
+The methods look these functions up when called.  The concrete models
+produce only uphill transitions (w_t > 0), i.e. the rotating-wave
+approximation; :func:`chi_multilevel` accepts signed frequencies, so the
+two-sided symmetry ``chi(-w) = conj(chi(w))`` remains expressible.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -121,7 +121,11 @@ class TransitionSet(_Columns):
 
 
 class LineModel:
-    """A model with a line list, ``transitions()``, whose chi is the lines' pole sum."""
+    """A model whose lines are built and checked with it; chi is their pole sum."""
+
+    def transitions(self) -> TransitionSet:
+        """The lines built and checked with the model."""
+        return self._lines
 
     def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
         """Susceptibility on ``grid``: the pole sum of :meth:`transitions`."""
@@ -143,6 +147,7 @@ class TlsEnsemble(LineModel):
     omega_exc: float
     beta: float
     gamma: float
+    _lines: TransitionSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require("> 0", n_emitters=self.n_emitters, gamma=self.gamma)
@@ -150,13 +155,10 @@ class TlsEnsemble(LineModel):
         _require("finite", omega_exc=self.omega_exc)
         if math.isnan(self.beta) or self.beta < 0:
             raise ValidationError("beta must be >= 0 (math.inf for T = 0)")
-        _line_weight(self.n_emitters, self.g)
-
-    def transitions(self) -> TransitionSet:
-        """Single uphill transition of a thermal two-level ensemble."""
-        p_g, p_e = thermal_populations(self.beta, self.omega_exc)
         ngg = _line_weight(self.n_emitters, self.g)
-        return TransitionSet.from_arrays([self.omega_exc], [ngg], [p_g], [p_e], [self.gamma])
+        p_g, p_e = thermal_populations(self.beta, self.omega_exc)
+        lines = TransitionSet.from_arrays([self.omega_exc], [ngg], [p_g], [p_e], [self.gamma])
+        object.__setattr__(self, "_lines", lines)
 
 
 @dataclass(frozen=True)
@@ -184,13 +186,11 @@ class DisorderedTls:
     g: float
     gamma: float
     disorder: DisorderSpec
+    base: TlsEnsemble = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _ = self.base  # building the ensemble validates its parameters
-
-    @property
-    def base(self) -> TlsEnsemble:
-        return TlsEnsemble(self.n_emitters, self.g, self.disorder.center, math.inf, self.gamma)
+        object.__setattr__(self, "base", TlsEnsemble(  # checks the parameters the two share
+            self.n_emitters, self.g, self.disorder.center, math.inf, self.gamma))
 
     def transitions(self) -> None:
         """None: a continuous distribution of lines has no finite line list."""
@@ -211,6 +211,7 @@ class VibronicModel(LineModel):
     progression; by default it runs until the Poisson tail is below 1e-12.
     Lines past the first weight that underflows to 0.0 are left out, whatever
     ``m_max`` says; the first, exp(-S), must be a normal float (S < 708.3964).
+    The progression starts in the ground state (zero temperature).
     """
 
     n_emitters: float
@@ -220,6 +221,7 @@ class VibronicModel(LineModel):
     huang_rhys: float
     gamma: float
     m_max: int | None = None
+    _lines: TransitionSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require("> 0", n_emitters=self.n_emitters, omega_v=self.omega_v, gamma=self.gamma)
@@ -232,18 +234,14 @@ class VibronicModel(LineModel):
             if not (isinstance(self.m_max, (int, np.integer)) and self.m_max >= 0):
                 raise ValidationError(f"m_max must be an integer >= 0, got {self.m_max!r}")
             object.__setattr__(self, "m_max", int(self.m_max))  # m_max + 1 cannot wrap
-        _line_weight(self.n_emitters, self.g)
-
-    def transitions(self) -> TransitionSet:
-        """Franck-Condon progression as a transition set (zero temperature)."""
-        weights = _franck_condon_weights(self.huang_rhys, self.m_max)
-        base = self.omega_exc - self.huang_rhys * self.omega_v
         ngg = _line_weight(self.n_emitters, self.g)
+        weights = ngg * _franck_condon_weights(self.huang_rhys, self.m_max)
         n = weights.size
-        return TransitionSet.from_arrays(
-            base + np.arange(n) * self.omega_v, ngg * weights, np.ones(n), np.zeros(n),
-            np.full(n, self.gamma),
+        lines = TransitionSet.from_arrays(
+            self.omega_exc - self.huang_rhys * self.omega_v + np.arange(n) * self.omega_v,
+            weights, np.ones(n), np.zeros(n), np.full(n, self.gamma),
         )
+        object.__setattr__(self, "_lines", lines)
 
 
 @dataclass(frozen=True)
@@ -253,8 +251,8 @@ class MultilevelModel(LineModel):
     ``levels`` lists (energy, population) pairs, any number of them;
     ``dipoles`` lists at least one (level_low, level_high, amplitude)
     triple using 1-based integer level indices, each going from a lower
-    to a higher energy, so every line is uphill.  Populations must sum
-    to one.  All of this is checked when the model is built.
+    to a higher energy: one uphill line each, in this order.  Populations
+    must sum to one.  All of this is checked when the model is built.
     """
 
     levels: tuple[tuple[float, float], ...]
@@ -262,6 +260,7 @@ class MultilevelModel(LineModel):
     n_emitters: float
     g_scale: float
     gamma: float
+    _lines: TransitionSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.levels)
@@ -291,19 +290,17 @@ class MultilevelModel(LineModel):
                 raise ValidationError(f"dipole ({y},{z}) must go from a lower to a higher level")
         _require("> 0", n_emitters=self.n_emitters, gamma=self.gamma)
         _require("finite", g_scale=self.g_scale)
-        self.transitions()  # refuses a line weight beyond the float range
-
-    def transitions(self) -> TransitionSet:
-        """One uphill transition per dipole, in the order of ``dipoles``."""
         lv, name = self.levels, "n_emitters * g_scale**2 * amplitude**2"
-        return TransitionSet.from_arrays(*zip(*(
+        lines = TransitionSet.from_arrays(*zip(*(
             (lv[z - 1][0] - lv[y - 1][0], _line_weight(self.n_emitters, self.g_scale, a, name),
              lv[y - 1][1], lv[z - 1][1], self.gamma)
             for y, z, a in self.dipoles
         )))
+        object.__setattr__(self, "_lines", lines)
 
 
-# the vibronic transition builder and line-model chi under their function names
+# a model's lines and chi under function names; no caller in the package, but
+# perfbench/workloads.py calls both
 vibronic_transitions = VibronicModel.transitions
 chi_vibronic = LineModel.chi
 
@@ -340,8 +337,8 @@ def thermal_populations(beta: float, omega: float) -> tuple[float, float]:
 def with_mirror_transitions(ts: TransitionSet) -> TransitionSet:
     """Append the emission partner (-w, populations swapped) of each line.
 
-    The mirrored set is what enters two-sided quantities such as the
-    dipole correlation function of a stationary ensemble.
+    The mirrored set enters two-sided quantities such as a stationary
+    ensemble's C(t); no caller in the package until the bundle writes C(t).
     """
     lines = ts.omega_zy, ts.weight, ts.p_y, ts.p_z, ts.gamma
     mirrors = -ts.omega_zy, ts.weight, ts.p_z, ts.p_y, ts.gamma
@@ -472,11 +469,11 @@ def chi_from_spectral_density(
     by the trapezoid rule on J's grid: the pole sum of J's samples, one
     pole (w'_j, gamma_reg, trap_j * J_j / pi) each, as in
     :func:`chi_multilevel`, once per distinct |w| (:func:`_mirrored`).
-    Negative frequencies are filled by the reflection
-    chi(-w) = conj(chi(w)), which forces chi(0) to be real: the one-sided
-    formula's real part (the imaginary part it drops is the gamma_reg tail
-    of J leaking to w = 0).  ``gamma_reg`` defaults to twice the spacing of
-    J's grid, the smallest value that still buries the discretization scale.
+    Negative frequencies take chi(-w) = conj(chi(w)), which makes chi(0)
+    real: the one-sided formula's real part (the imaginary part it drops is
+    the gamma_reg tail of J leaking to w = 0).  ``gamma_reg`` defaults to
+    twice J's spacing, the least that still buries the discretization scale.
+    No caller in the package until the bundle checks chi against J.
     """
     jv, jw = J.values, J.grid.points
     _require(">= 0", **{"spectral density": jv})

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,13 +18,16 @@ from polarispec.core import (
     make_grid,
 )
 from polarispec.bathmap import CorrelationFunction, spectral_density_from_chi
+from polarispec.cli import parse_scenario, preset_config, scenario_to_config
 from polarispec.susceptibility import (
+    DisorderedTls,
     DisorderSpec,
     MultilevelModel,
     TlsEnsemble,
     Transition,
     TransitionSet,
     VibronicModel,
+    _franck_condon_weights,
     chi_disordered,
     chi_from_correlation,
     chi_from_spectral_density,
@@ -819,6 +824,73 @@ class TestLineModelProperties:
         g = make_grid(-8.0, 8.0, 1025)  # spacing 1/64: every point's mirror is on the grid
         v = chi_multilevel(with_mirror_transitions(m.transitions()), g).values
         assert np.abs(v[::-1] - np.conj(v)).max() <= 1e-12 * np.abs(v).max()
+
+    @settings(derandomize=True, deadline=None)
+    @given(m=_LINE_MODELS)
+    def test_lines_are_held_and_match_a_set_built_from_the_inputs(self, m):
+        ts = m.transitions()
+        assert ts is m.transitions()
+        rebuilt = TransitionSet.from_arrays(*_lines_from_inputs(m))
+        for name in Transition._fields:
+            assert getattr(ts, name).tobytes() == getattr(rebuilt, name).tobytes(), name
+
+    @settings(derandomize=True, deadline=None)
+    @given(m=_LINE_MODELS)
+    def test_held_lines_leave_equality_repr_replace_and_config_alone(self, m):
+        twin = dataclasses.replace(m)
+        assert twin.transitions() is not m.transitions()  # a set compares by identity
+        assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+        assert "_lines" not in repr(m)
+        wider = dataclasses.replace(m, gamma=2 * m.gamma)
+        assert np.array_equal(wider.transitions().gamma, 2 * m.transitions().gamma)
+        s = dataclasses.replace(parse_scenario(preset_config("fig2a")), model=m)
+        cfg = scenario_to_config(s)
+        assert "_lines" not in cfg["model"]
+        assert parse_scenario(cfg) == s
+
+    def test_disordered_base_is_built_once(self):
+        d = parse_scenario(preset_config("fig3a")).model
+        assert isinstance(d, DisorderedTls)
+        assert d.base is d.base
+        assert d.base == TlsEnsemble(d.n_emitters, d.g, d.disorder.center, math.inf, d.gamma)
+        twin = dataclasses.replace(d)
+        assert twin.base is not d.base
+        assert twin == d and hash(twin) == hash(d) and repr(twin) == repr(d)
+        assert "base" not in repr(d)
+        s = parse_scenario(preset_config("fig3a"))
+        assert "base" not in scenario_to_config(s)["model"]
+        assert parse_scenario(scenario_to_config(s)) == s
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            pytest.param(lambda: TlsEnsemble(1.0, 1e200, 1.0, math.inf, 0.3),
+                         "n_emitters * g**2", id="tls"),
+            pytest.param(lambda: VibronicModel(1e300, 1e10, 0.0, 0.3, 3.0, 0.1),
+                         "n_emitters * g**2", id="vibronic"),
+            pytest.param(lambda: MultilevelModel(((0.0, 0.5), (1.0, 0.5)), ((1, 2, 1e200),),
+                                                 1.0, 1.0, 0.3),
+                         "n_emitters * g_scale**2 * amplitude**2", id="multilevel"),
+        ],
+    )
+    def test_overflowing_weight_is_refused_when_built(self, build, name):
+        with pytest.raises(ValidationError, match=f"^{re.escape(name)} must be finite$"):
+            build()
+
+
+def _lines_from_inputs(m):
+    """The line arrays of a line model, assembled here from its inputs."""
+    if isinstance(m, TlsEnsemble):
+        p_g, p_e = thermal_populations(m.beta, m.omega_exc)
+        return [m.omega_exc], [m.n_emitters * m.g**2], [p_g], [p_e], [m.gamma]
+    if isinstance(m, VibronicModel):
+        w = _franck_condon_weights(m.huang_rhys, m.m_max)
+        n = w.size
+        return ((m.omega_exc - m.huang_rhys * m.omega_v) + np.arange(n) * m.omega_v,
+                m.n_emitters * m.g**2 * w, np.ones(n), np.zeros(n), np.full(n, m.gamma))
+    lv = m.levels
+    return zip(*((lv[z - 1][0] - lv[y - 1][0], m.n_emitters * m.g_scale**2 * a**2,
+                  lv[y - 1][1], lv[z - 1][1], m.gamma) for y, z, a in m.dipoles))
 
 
 # A few damped lines (frequency, weight, linewidth) on both sides of zero.
