@@ -234,7 +234,11 @@ def effective_temperature(
     contributes its initial population to C(+w) and its final population
     to C(-w) through the same Lorentzian kernel.  Thermal populations
     therefore give beta_eff equal to beta at every transition frequency
-    to machine precision, regardless of linewidth.
+    to machine precision, regardless of linewidth, while beta * omega stays
+    below 690.8 + ln(4 * weight / gamma), about 690: beyond it the line's
+    emission sum (p_z times its Lorentzian peak 4 * weight / gamma) falls
+    under the 1e-300 dead-point floor and the point reads +inf, as every
+    point does once exp(-beta * omega) underflows near beta * omega = 745.
 
     The set must be in uphill form (all transition frequencies positive);
     emission content is carried by the final-state populations.

@@ -18,7 +18,8 @@ Model kinds: ``tls``, ``disordered_tls`` (a ``disorder`` object, whose
 ``method`` is ``"harmonic"`` (short for ``{"kind": "harmonic"}``) or
 ``{"kind": "finite_n", "n_modes": M}`` with an optional ``gamma_mode``;
 ``finite_n`` feeds the chi of the bath of :func:`polarispec.bathmap.surrogate_bath`
-to the same T/R/A formula.  Each ``outputs`` entry names a csv or svg path.
+to the same T/R/A formula.  ``outputs`` is ``spectrum``'s sink list of csv
+and svg paths, written in list order; ``--out``/``--svg`` append one entry.
 ``beta`` may be the string ``"inf"`` since JSON has no infinity literal.
 Unknown keys anywhere are hard errors: a typo in a physics parameter must
 not silently fall back to a default.  Each object, ``MethodSpec`` and
@@ -31,6 +32,7 @@ base config, before parsing, and each value replaces the key it names;
 every resulting scenario is validated before anything is written.
 ``"model.populations"`` is the one special path: on a multilevel base each
 value is a list with one population per level.
+``sweep`` and ``bundle`` write to ``--outdir`` and refuse ``outputs``.
 
 Each config object's keys, the scenario's own included, are declared
 once, as the init fields of the dataclass it parses into, in field order.
@@ -73,6 +75,7 @@ from .core import (
     NumericalError,
     TraSpectra,
     ValidationError,
+    _count,
     _require,
     local_maxima,
 )
@@ -129,6 +132,8 @@ class MethodSpec:
             raise ValidationError("a harmonic method takes no n_modes or gamma_mode")
         if self.kind == "finite_n" and self.n_modes is None:
             raise ValidationError("finite_n needs n_modes")
+        if self.n_modes is not None:  # discretize_bath makes n_modes + 1 bin edges
+            object.__setattr__(self, "n_modes", _count("n_modes", self.n_modes, 1, _MAX_COUNT - 1))
         if self.gamma_mode is not None:
             _require("> 0", gamma_mode=self.gamma_mode)
 
@@ -157,7 +162,7 @@ class Sweep:
     base: Scenario
     parameter: str
     values: tuple
-    scenarios: tuple[Scenario, ...]  # one per value, without the base's outputs
+    scenarios: tuple[Scenario, ...]  # one per value
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +209,6 @@ def _rows(width: int, what: str) -> _Codec:
 
 _NUMBER = _typed(_is_number, "a number", float)
 _INTEGER = _typed(lambda v: type(v) is int and _is_number(v), "an integer", _same)
-_COUNT = _typed(  # n_modes, which discretize_bath turns into n_modes + 1 bin edges
-    lambda v: type(v) is int and 1 <= v < _MAX_COUNT,
-    f"an integer in [1, {_MAX_COUNT - 1}]",
-    _same,
-)
 _BETA = _typed(
     lambda v: v == "inf" or _is_number(v),
     'a number or the string "inf"',
@@ -304,7 +304,7 @@ _MODEL = _kinds(
                         dipoles=_rows(3, "[low, high, amplitude] triples")),
     tabulated_chi=_section(TabulatedChi, path=_PATH),
 )
-_METHOD = _section(MethodSpec, kind=_RAW, n_modes=_COUNT)
+_METHOD = _section(MethodSpec, kind=_RAW, n_modes=_INTEGER)
 _SCENARIO = _fields(
     Scenario,
     cavity=_section(CavityParams),
@@ -332,6 +332,8 @@ def parse_sweep(cfg: dict) -> Sweep:
         base = parse_scenario(base_cfg)
     except ValidationError as exc:
         raise ConfigError(f"sweep.base: {exc}") from exc
+    if base.outputs:
+        raise ConfigError("sweep.base.outputs: a sweep writes to its outdir, not to outputs")
     if not isinstance(parameter, str) or not parameter:
         raise ConfigError("sweep.parameter: expected a dotted path string")
     if not isinstance(values, list) or not values:
@@ -339,7 +341,6 @@ def parse_sweep(cfg: dict) -> Sweep:
     scenarios = []
     for i, v in enumerate(values):
         cfg = _apply_parameter(copy.deepcopy(base_cfg), parameter, v)
-        cfg.pop("outputs", None)
         try:
             scenarios.append(parse_scenario(cfg))
         except ValidationError as exc:
@@ -395,16 +396,14 @@ def _compute(s: Scenario, chi: ComplexSpectrum | None = None) -> TraSpectra:
     return spectra_harmonic(chi, s.cavity)
 
 
-def run_scenario(
-    s: Scenario, out_csv: str | None = None, out_svg: str | None = None
-) -> TraSpectra:
-    """Compute the scenario's spectra and write its configured outputs."""
+def run_scenario(s: Scenario) -> TraSpectra:
+    """Compute the scenario's spectra and write its outputs, each entry's csv first."""
     tra = _compute(s)
-    for csv_path, svg_path in [(o.csv, o.svg) for o in s.outputs] + [(out_csv, out_svg)]:
-        if csv_path:
-            fileio.write_tra_csv(csv_path, tra)
-        if svg_path:
-            fileio.write_tra_svg(svg_path, tra)
+    for o in s.outputs:
+        if o.csv:
+            fileio.write_tra_csv(o.csv, tra)
+        if o.svg:
+            fileio.write_tra_svg(o.svg, tra)
     return tra
 
 
@@ -444,8 +443,11 @@ def export_bundle(s: Scenario, outdir: str) -> list[str]:
     """Write chi, coupling density, effective temperature and spectra CSVs.
 
     ``beta_eff.csv`` needs uphill transitions on a grid with positive
-    frequencies; without them it is omitted with a note on stderr.
+    frequencies; without them it is omitted with a note on stderr.  A
+    scenario with ``outputs`` is refused before anything is written.
     """
+    if s.outputs:
+        raise ConfigError("outputs: a bundle writes to its outdir, not to outputs")
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -631,12 +633,10 @@ def main(argv=None) -> int:
             if "base" in cfg:
                 raise ConfigError("this configuration is a sweep; use `polarispec sweep`")
             scenario = parse_scenario(cfg)
-            tra = run_scenario(scenario, args.out, args.svg)
-            sinks = (
-                [o.csv for o in scenario.outputs if o.csv]
-                + [o.svg for o in scenario.outputs if o.svg]
-                + [p for p in (args.out, args.svg) if p]
-            )
+            flag_outputs = (OutputSpec(args.out, args.svg),) if args.out or args.svg else ()
+            scenario = dataclasses.replace(scenario, outputs=scenario.outputs + flag_outputs)
+            tra = run_scenario(scenario)
+            sinks = [path for o in scenario.outputs for path in (o.csv, o.svg) if path]
             if sinks:
                 print("wrote: " + " ".join(sinks))
             else:

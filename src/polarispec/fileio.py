@@ -72,6 +72,8 @@ def _atomic_open(path: str):
 def write_columns(path: str, header: str, columns) -> None:
     """Write comma-separated numeric columns under an exact header line."""
     cols = [np.asarray(c, dtype=float) for c in columns]
+    if not cols or any(c.ndim != 1 for c in cols):
+        raise ValidationError("columns must be one or more 1-D arrays")
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ValidationError("all columns must have equal length")

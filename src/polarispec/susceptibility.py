@@ -330,8 +330,8 @@ def thermal_populations(beta: float, omega: float) -> tuple[float, float]:
         boltz = math.exp(-beta * omega)
     except OverflowError:
         return 0.0, 1.0
-    p_g = 1.0 / (1.0 + boltz)
-    return p_g, 1.0 - p_g
+    # p_e from boltz itself: 1 - p_g cancels to 0 once beta * omega >= 37
+    return 1.0 / (1.0 + boltz), boltz / (1.0 + boltz)
 
 
 def with_mirror_transitions(ts: TransitionSet) -> TransitionSet:

@@ -184,6 +184,14 @@ class TestEffectiveTemperature:
         i = int(np.nonzero(g.points == 2.0)[0][0])
         assert beff.values[i] == pytest.approx(beta, abs=1e-14)
 
+    @pytest.mark.parametrize("beta", [20.0, 40.0, 80.0, 600.0])
+    def test_thermal_ensemble_reproduces_beta_far_below_its_gap(self, beta):
+        # 1 - p_g loses p_e to cancellation here (3.6e-8 relative at 20, exactly 0 from 37)
+        g = make_grid(0.5, 1.5, 11)
+        assert g.points[5] == 1.0
+        beff = effective_temperature(TlsEnsemble(1.0, 1.0, 1.0, beta, 0.3).transitions(), g)
+        assert beff.values[5] == pytest.approx(beta, rel=1e-14, abs=0.0)
+
     def test_population_ratio_sets_temperature(self):
         g = make_grid(0.25, 2.0, 8)  # contains 1.0
         ts = _tls_set(1.0, 1.0, 0.7, 0.3, 0.2)

@@ -4,6 +4,7 @@ import os
 import re
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,6 +137,8 @@ class TestParsing:
         "cls, args, message",
         [
             pytest.param(MethodSpec, ("finite_n",), "n_modes", id="finite_n-without-n_modes"),
+            *(pytest.param(MethodSpec, ("finite_n", n), r"^n_modes must be an integer in \[1, ",
+                           id=f"finite_n-with-n_modes-{n}") for n in (0, -3, 2.5)),
             pytest.param(MethodSpec, ("bogus", 16), "unknown method kind", id="unknown-kind"),
             pytest.param(MethodSpec, ("harmonic", 16), "harmonic", id="harmonic-with-n_modes"),
             pytest.param(MethodSpec, ("harmonic", None, 0.1), "harmonic",
@@ -196,7 +199,7 @@ class TestRunScenario:
     def test_fig2a_peaks(self, tmp_path):
         s = parse_scenario(preset_config("fig2a"))
         out = str(tmp_path / "fig2a.csv")
-        tra = run_scenario(s, out_csv=out)
+        tra = run_scenario(replace(s, outputs=(OutputSpec(out),)))
         peaks = local_maxima(tra.transmission)
         assert len(peaks) == 2
         assert abs(abs(peaks[0][0]) - 2.0) <= 0.01 + 1e-12
@@ -226,8 +229,8 @@ class TestRunScenario:
     def test_csv_output_is_deterministic(self, tmp_path):
         s = parse_scenario(preset_config("fig4"))
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        run_scenario(s, out_csv=p1)
-        run_scenario(s, out_csv=p2)
+        run_scenario(replace(s, outputs=(OutputSpec(p1),)))
+        run_scenario(replace(s, outputs=(OutputSpec(p2),)))
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_tabulated_chi_round_trip(self, tmp_path):
@@ -563,6 +566,27 @@ class TestMainEntry:
         for label in (">T<", ">R<", ">A<"):
             assert label in text
 
+    def test_out_and_svg_append_to_the_config_outputs(self, tmp_path, capsys, monkeypatch):
+        written = []
+
+        def recording(write):
+            def record(path, tra):
+                written.append(path)
+                write(path, tra)
+            return record
+
+        for name in ("write_tra_csv", "write_tra_svg"):
+            monkeypatch.setattr(fileio, name, recording(getattr(fileio, name)))
+        a, b, c, d, e = (str(tmp_path / n) for n in ("a.csv", "b.svg", "c.csv", "d.csv", "e.svg"))
+        cfg = preset_config("fig2a")
+        cfg["outputs"] = [{"csv": a, "svg": b}, {"csv": c}]
+        argv = ["spectrum", "--config", _write_config(tmp_path, cfg), "--points", "401",
+                "--out", d, "--svg", e]
+        assert main(argv) == 0
+        assert written == [a, b, c, d, e]  # each once, in list order, the flags' entry last
+        assert capsys.readouterr().out.splitlines()[0] == "wrote: " + " ".join(written)
+        assert all(os.path.getsize(path) > 0 for path in written)
+
     def test_spectrum_with_config_file(self, tmp_path):
         cfg = preset_config("fig2a")
         cfg["outputs"] = [{"csv": str(tmp_path / "direct.csv")}]
@@ -674,7 +698,7 @@ class TestMainEntry:
             pytest.param("fig2a", "grid.n_points", 10**30,
                          "grid: n_points must be an integer in [2, ", id="n_points-10**30"),
             pytest.param("fig2a", "method", {"kind": "finite_n", "n_modes": 10**30},
-                         "method.n_modes: expected an integer in [1, ", id="n_modes"),
+                         "method: n_modes must be an integer in [1, ", id="n_modes"),
         ],
     )
     def test_oversized_number_is_one_error_line(self, tmp_path, capsys, preset, key, value,
@@ -842,6 +866,27 @@ class TestConfigRefusals:
         assert captured.err == f"error: {message}\n" and captured.out == ""
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "command, preset, message",
+        [
+            pytest.param("sweep", "fig2b",
+                         "sweep.base.outputs: a sweep writes to its outdir, not to outputs",
+                         id="sweep"),
+            pytest.param("bundle", "fig2a",
+                         "outputs: a bundle writes to its outdir, not to outputs", id="bundle"),
+        ],
+    )
+    def test_outdir_command_refuses_outputs(self, tmp_path, capsys, command, preset, message):
+        cfg = preset_config(preset)
+        cfg.get("base", cfg)["outputs"] = [{"csv": str(tmp_path / "x.csv"),
+                                            "svg": str(tmp_path / "x.svg")}]
+        argv = [command, "--config", _write_config(tmp_path, cfg),
+                "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_neither_config_nor_preset(self, capsys, command):
         assert main([command]) == 2
@@ -870,6 +915,16 @@ class TestCsvFormats:
         path = tmp_path / "table.csv"
         with pytest.raises(ValidationError, match="^all columns must have equal length$"):
             fileio.write_columns(str(path), "a,b", [np.ones(3), np.ones(2)])
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "columns",
+        [pytest.param([], id="no-columns"), pytest.param([np.ones(4), np.ones((2, 2))], id="2-d")],
+    )
+    def test_malformed_columns_are_refused_before_the_file_opens(self, tmp_path, columns):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValidationError, match="^columns must be one or more 1-D arrays$"):
+            fileio.write_columns(str(path), "h", columns)
         assert os.listdir(tmp_path) == []
 
     def test_chi_table_with_two_columns_is_refused(self, tmp_path, capsys):
