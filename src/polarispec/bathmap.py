@@ -301,8 +301,9 @@ def reconstruct_correlation(
     one chirp-z transform (:func:`polarispec.core._chirp_z`) of the cos and
     the sin weights at every t_k = k*dt: O((N+K) log(N+K)) for N
     frequencies and K times.  C(0) is the plain sum of the weights, with
-    Im C(0) exactly zero.  At beta_eff = +inf the occupation factor is
-    exactly one.  No caller in the package until the bundle writes C(t).
+    Im C(0) exactly zero.  At beta_eff = +inf the occupation factor
+    coth(beta_eff w / 2) is exactly one, since tanh(+inf) = 1.  No caller
+    in the package until the bundle writes C(t).
     """
     if J.grid != beta_eff.grid:
         raise ValidationError("J and beta_eff must share one frequency grid")
@@ -310,24 +311,26 @@ def reconstruct_correlation(
     jv = J.values
     bv = beta_eff.values
 
-    occ = np.ones(omega.size)
-    finite = ~np.isinf(bv)
+    # tanh(inf) is exactly 1, so beta_eff = +inf needs no case of its own
     with np.errstate(divide="ignore"):
-        occ[finite] = 1.0 / np.tanh(0.5 * bv[finite] * omega[finite])
+        occ = 1.0 / np.tanh(0.5 * bv * omega)
     if np.any(np.isinf(occ) & (jv > 0)):
         raise ValidationError(
             "J > 0 where beta_eff = 0: a saturated line cannot carry weight"
         )
 
-    w = _trapezoid_weights(omega.size, J.grid.spacing)
-    cos_part = np.where(jv == 0, 0.0, w * jv * occ) / math.pi
-    sin_part = (w * jv) / math.pi
-    # sum_j part_j e^{-i w_j t_k}: Re of the cos row is cos_part @ cos(wt),
-    # Im of the sin row is -(sin_part @ sin(wt))
-    rows = _chirp_z(
-        np.stack([cos_part, sin_part]), omega[0], J.grid.spacing,
-        0.0, tg.spacing, tg.n_points, -1,
-    )
+    wj = _trapezoid_weights(omega.size, J.grid.spacing)
+    wj *= jv
+    # the cos weights wj * occ (zero where J is) and the sin weights wj, over pi
+    parts = np.empty((2, omega.size))
+    with np.errstate(invalid="ignore"):  # 0 * inf where J = 0 at beta_eff = 0
+        np.multiply(wj, occ, out=parts[0])
+    parts[0][jv == 0] = 0.0
+    parts[1] = wj
+    parts /= math.pi
+    # sum_j part_j e^{-i w_j t_k}: Re of the cos row is parts[0] @ cos(wt),
+    # Im of the sin row is -(parts[1] @ sin(wt))
+    rows = _chirp_z(parts, omega[0], J.grid.spacing, 0.0, tg.spacing, tg.n_points, -1)
     return CorrelationFunction(tg, _frozen(rows[0].real + 1j * rows[1].imag))
 
 

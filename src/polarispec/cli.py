@@ -448,6 +448,7 @@ def export_bundle(s: Scenario, outdir: str) -> list[str]:
     """
     if s.outputs:
         raise ConfigError("outputs: a bundle writes to its outdir, not to outputs")
+    chi = s.model.chi(s.grid)  # first: a chi table that cannot be read leaves no outdir
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -456,7 +457,6 @@ def export_bundle(s: Scenario, outdir: str) -> list[str]:
         writer(path, data)
         written.append(path)
 
-    chi = s.model.chi(s.grid)
     write("chi.csv", fileio.write_chi_csv, chi)
     write("j_eff.csv", fileio.write_jeff_csv, spectral_density_from_chi(chi))
     ts = s.model.transitions()

@@ -13,7 +13,10 @@ blocks of ``_BLOCK`` points (``_blocks``), the first three adding one pole
 or term at a time, and the CSV writer formats ``_BLOCK`` fields at a time;
 the Fourier sums over two uniform grids (correlation <-> chi, J and C(t))
 are one chirp-z transform each, ``_chirp_z``, in O((N+K) log(N+K)) with
-``numpy.fft``; no dense block is ever built.
+``numpy.fft``; no dense block is ever built.  Its blocks pass through one
+reused buffer of about ``8 * _BLOCK`` points per row, transformed in place,
+and their terms are added in block order, so besides its input it holds
+O(rows x pass) points and the K terms of each block.
 """
 
 from __future__ import annotations
@@ -283,10 +286,11 @@ class TraSpectra:
         return self.transmission.grid
 
 
-# grid points per block of the pointwise kernels and fields per block of the
-# CSV formatter, so that a block's temporaries stay in a core's L2 cache: a
-# whole large grid streams each through memory once per pole or term, and at
-# 2**16 fields a formatted number costs about 3x as much (2-vCPU x86 VM)
+# grid points per block of the pointwise kernels, fields per block of the CSV
+# formatter and 1/8 of a chirp-z pass's points per row, so that a block's
+# temporaries stay in a core's L2 cache: a whole large grid streams each
+# through memory once per pole or term, and at 2**16 fields a formatted
+# number costs about 3x as much (2-vCPU x86 VM)
 _BLOCK = 8192
 
 
@@ -361,6 +365,15 @@ def _chirp_z(a, x0: float, dx: float, y0: float, dy: float, k_out: int, sign: in
     through the phase of x_s*y_k, so the cost is O(N log(B+K)) instead of
     the O(N*K) of the direct sum, and the FFTs stay small when N >> K.
 
+    The blocks run in passes through one complex buffer of about
+    ``8 * _BLOCK`` points per row (at least one padded block): each pass
+    writes its blocks of ``a`` times the pre-chirp straight into the
+    buffer, zeroes only the padding, and transforms, convolves and
+    back-transforms in place.  Each block's K terms go into one array that
+    is summed over the block axis at the end, in block order, so the
+    result does not depend on the pass size.  Besides ``a`` the transform
+    holds O(rows x pass) points and rows x N/B x K terms.
+
     Every phase is split as x0*y0 + x0*dy*k + y0*dx*j + alpha*j*k into
     exact products of the inputs times integers, each reduced modulo 2*pi
     without rounding error (:func:`_angle`).  The chirp phases alpha*m**2/2
@@ -384,15 +397,7 @@ def _chirp_z(a, x0: float, dx: float, y0: float, dy: float, k_out: int, sign: in
     kernel[:k_out] = np.exp(-1j * chirp[:k_out])
     kernel[size - block + 1 :] = np.exp(-1j * chirp[block - 1 : 0 : -1])
     kernel = np.fft.fft(kernel)
-    blocks = np.zeros(rows + (n_blocks, block), dtype=a.dtype)
-    blocks.reshape(rows + (n_blocks * block,))[..., :n] = a
-    spectrum = np.zeros(rows + (n_blocks, size), dtype=complex)
     pre = np.exp(1j * (chirp[:block] + sign * _angle(_two_product(y0, dx), m[:block])))
-    np.multiply(blocks, pre, out=spectrum[..., :block])
-    del blocks, pre
-    spectrum = np.fft.fft(spectrum)
-    spectrum *= kernel
-    del kernel
     k = m[:k_out]
     starts = block * np.arange(n_blocks, dtype=float)
     offset = (
@@ -402,7 +407,26 @@ def _chirp_z(a, x0: float, dx: float, y0: float, dy: float, k_out: int, sign: in
         + _angle(alpha, np.multiply.outer(starts, k))
     )
     post = np.exp(1j * (chirp[:k_out] + sign * offset))
-    out = (np.fft.ifft(spectrum)[..., :k_out] * post).sum(axis=-2)
+    per_pass = max(1, 8 * _BLOCK // size)
+    buf = np.empty(rows + (min(per_pass, n_blocks), size), dtype=complex)
+    terms = np.empty(rows + (n_blocks, k_out), dtype=complex)
+    whole = n // block  # the blocks that need no padding
+    for b0 in range(0, n_blocks, per_pass):
+        b1 = min(b0 + per_pass, n_blocks)
+        spectrum = buf[..., : b1 - b0, :]
+        nw = min(b1, whole) - b0  # whole blocks in this pass
+        blocks = a[..., b0 * block : (b0 + nw) * block].reshape(rows + (nw, block))
+        np.multiply(blocks, pre, out=spectrum[..., :nw, :block])
+        if b1 > whole:  # the last block, zero-padded to a whole one
+            tail = np.zeros(rows + (block,), dtype=a.dtype)
+            tail[..., : n - whole * block] = a[..., whole * block :]
+            np.multiply(tail, pre, out=spectrum[..., -1, :block])
+        spectrum[..., block:] = 0.0
+        np.fft.fft(spectrum, out=spectrum)
+        spectrum *= kernel
+        np.fft.ifft(spectrum, out=spectrum)
+        np.multiply(spectrum[..., :k_out], post[b0:b1], out=terms[..., b0:b1, :])
+    out = terms.sum(axis=-2)
     if y0 == 0:
         out[..., 0] = a.sum(axis=-1)
     return out

@@ -454,6 +454,18 @@ class TestRefusals:
         with pytest.raises(ValidationError, match=message):
             reconstruct_correlation(RealSpectrum(g, np.ones(8)), beta_eff, TimeGrid(1.0, 5))
 
+    def test_no_density_where_the_bath_is_saturated_is_silent(self):
+        # J = 0 where beta_eff = 0: the point adds nothing, and no 0 * inf warns
+        g = make_grid(0.5, 4.0, 8)
+        saturated = g.points > 2.0
+        beta_eff = EffectiveTemperature(g, np.where(saturated, 0.0, 1.0))
+        J = RealSpectrum(g, np.where(saturated, 0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = reconstruct_correlation(J, beta_eff, TimeGrid(1.0, 5)).values
+        cold = EffectiveTemperature(g, np.where(saturated, 7.0, 1.0))
+        assert np.array_equal(got, reconstruct_correlation(J, cold, TimeGrid(1.0, 5)).values)
+
     def test_density_supported_below_zero_is_not_discretized(self):
         g = make_grid(-1.0, 1.0, 21)
         J = RealSpectrum(g, np.where(g.points > -0.5, 1.0, 0.0))

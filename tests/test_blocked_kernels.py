@@ -7,7 +7,9 @@ compared as uint64 so that a block boundary that rounds one value
 differently, or flips the sign of a zero, fails.  The same references pin
 the kernels that skip values they already know: the density transform
 evaluates each distinct |w| once, and a set without emission weight skips
-the effective-temperature line sums.
+the effective-temperature line sums.  The chirp-z engine streams its
+blocks through one reused buffer; its reference is the same transform
+with every block held at once.
 """
 
 import math
@@ -15,18 +17,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polarispec import bathmap, susceptibility
 from polarispec.bathmap import _INVERSION_MSG, effective_temperature
 from polarispec.cli import parse_scenario, preset_config, run_scenario
+from polarispec.bathmap import EffectiveTemperature, reconstruct_correlation
 from polarispec.core import (
     _BLOCK,
     ComplexSpectrum,
     GainWarning,
     NumericalError,
     RealSpectrum,
+    TimeGrid,
     ValidationError,
+    _angle,
+    _chirp_z,
+    _fft_length,
+    _trapezoid_weights,
+    _two_product,
     make_grid,
 )
 from polarispec.fileio import write_columns
@@ -282,6 +291,102 @@ class TestFaddeevaBlocks:
         assert type(faddeeva(0.5)) is complex
 
 
+def _chirp_z_all_blocks(a, x0, dx, y0, dy, k_out, sign):
+    """``core._chirp_z`` with every block padded, transformed and summed at once."""
+    a = np.asarray(a)
+    rows, n = a.shape[:-1], a.shape[-1]
+    block = min(n, max(16 * k_out, 4096))
+    n_blocks = -(-n // block)
+    size = _fft_length(block + k_out - 1)
+    alpha = _two_product(dx, dy)
+    m = np.arange(max(block, k_out), dtype=float)
+    chirp = sign * _angle(alpha, 0.5 * m * m)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:k_out] = np.exp(-1j * chirp[:k_out])
+    kernel[size - block + 1 :] = np.exp(-1j * chirp[block - 1 : 0 : -1])
+    kernel = np.fft.fft(kernel)
+    blocks = np.zeros(rows + (n_blocks, block), dtype=a.dtype)
+    blocks.reshape(rows + (n_blocks * block,))[..., :n] = a
+    spectrum = np.zeros(rows + (n_blocks, size), dtype=complex)
+    pre = np.exp(1j * (chirp[:block] + sign * _angle(_two_product(y0, dx), m[:block])))
+    np.multiply(blocks, pre, out=spectrum[..., :block])
+    spectrum = np.fft.fft(spectrum)
+    spectrum *= kernel
+    k = m[:k_out]
+    starts = block * np.arange(n_blocks, dtype=float)
+    offset = (
+        _angle(_two_product(x0, y0), 1.0)
+        + _angle(_two_product(x0, dy), k)
+        + _angle(_two_product(y0, dx), starts)[:, None]
+        + _angle(alpha, np.multiply.outer(starts, k))
+    )
+    post = np.exp(1j * (chirp[:k_out] + sign * offset))
+    out = (np.fft.ifft(spectrum)[..., :k_out] * post).sum(axis=-2)
+    if y0 == 0:
+        out[..., 0] = a.sum(axis=-1)
+    return out
+
+
+def _reconstruct_correlation_all_blocks(J, beta_eff, tg):
+    """``reconstruct_correlation`` with a masked occupation and stacked rows."""
+    omega, jv, bv = J.grid.points, J.values, beta_eff.values
+    occ = np.ones(omega.size)
+    finite = ~np.isinf(bv)
+    occ[finite] = 1.0 / np.tanh(0.5 * bv[finite] * omega[finite])
+    w = _trapezoid_weights(omega.size, J.grid.spacing)
+    cos_part = np.where(jv == 0, 0.0, w * jv * occ) / math.pi
+    sin_part = (w * jv) / math.pi
+    rows = _chirp_z_all_blocks(np.stack([cos_part, sin_part]), omega[0], J.grid.spacing,
+                               0.0, tg.spacing, tg.n_points, -1)
+    return rows[0].real + 1j * rows[1].imag
+
+
+def _narrow_line_reconstruction_inputs(n=200_000):
+    """J and beta_eff of a thermal line at 60 on (0, 140], and 301 times to 3/gamma.
+
+    Every 7th J sample is zero and every 5th beta_eff is +inf, so both
+    special cases fall in every block of the transform.
+    """
+    g = make_grid(140.0 / n, 140.0, n)
+    x = g.points
+    w0, gamma, beta = 60.0, 0.01, 1.0 / 60.0
+    p_g = 1.0 / (1.0 + math.exp(-beta * w0))
+    jv = (2.0 * p_g - 1.0) * 0.5 * gamma / ((x - w0) ** 2 + 0.25 * gamma**2)
+    jv[::7] = 0.0
+    bv = beta * w0 / x
+    bv[::5] = math.inf
+    return (RealSpectrum(g, jv), EffectiveTemperature(g, bv), TimeGrid(3.0 / gamma, 301))
+
+
+class TestChirpZPasses:
+    """The blocks pass through a buffer of at most 8 * _BLOCK points per row (or
+    one block), so a transform of more than twice that runs in three passes
+    or more; the blocks' terms are summed over the block axis as the
+    reference sums them."""
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(n=st.integers(16 * _BLOCK + 1, 24 * _BLOCK), k_out=st.integers(1, 300),
+           rows=st.sampled_from([(), (2,)]), complex_rows=st.booleans(),
+           sign=st.sampled_from([1, -1]), y0=st.sampled_from([0.0, -0.7, 2.3]),
+           seed=st.integers(0, 2**32 - 1))
+    # whole blocks only; and one term per block, which the reference sums pairwise
+    @example(n=40 * 4096, k_out=256, rows=(2,), complex_rows=False, sign=-1, y0=0.0, seed=0)
+    @example(n=16 * _BLOCK + 1, k_out=1, rows=(2,), complex_rows=True, sign=1, y0=-0.7, seed=1)
+    def test_matches_all_blocks_at_once(self, n, k_out, rows, complex_rows, sign, y0, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=rows + (n,))
+        if complex_rows:
+            a = a + 1j * rng.normal(size=a.shape)
+        a[..., : 5000] = 0.0  # a block of zeros, where only a sign could differ
+        args = (a, 0.37, 1.3e-3, y0, 0.05, k_out, sign)
+        _assert_bitwise(np.atleast_2d(_chirp_z(*args)), np.atleast_2d(_chirp_z_all_blocks(*args)))
+
+    def test_reconstruction_matches_all_blocks_at_once(self):
+        J, beta_eff, tg = _narrow_line_reconstruction_inputs()
+        got = reconstruct_correlation(J, beta_eff, tg).values
+        _assert_bitwise(got[None], _reconstruct_correlation_all_blocks(J, beta_eff, tg)[None])
+
+
 def _spectra_unblocked(omega, chi, cav):
     """T, R, A and D over the whole grid at once, as one expression each."""
     den = omega - cav.omega_ph + 0.5j * cav.kappa + chi
@@ -375,6 +480,12 @@ class TestPeakMemory:
         cols = np.random.default_rng(5).random((4, self.n))
         path = str(tmp_path / "cols.csv")
         assert _traced_peak(write_columns, path, "a,b,c,d", cols) <= 2 * 2**20
+
+    def test_reconstruction_holds_its_weights_and_one_pass(self):
+        # at 2e5 x 301: the occupation, the weights and their two rows (4 x 1.6 MB),
+        # one pass of the transform and the per-block terms, not every block at once
+        inputs = _narrow_line_reconstruction_inputs()
+        assert _traced_peak(reconstruct_correlation, *inputs) <= 12 * 2**20
 
     def test_scenario_holds_chi_and_the_spectra(self):
         cfg = preset_config("fig2a")

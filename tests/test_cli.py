@@ -654,6 +654,15 @@ class TestMainEntry:
         out = str(tmp_path / "no" / "such" / "dir" / "out.csv")
         assert main(["spectrum", "--preset", "fig2a", "--out", out]) == 4
 
+    def test_bundle_of_a_missing_chi_table_leaves_no_outdir(self, tmp_path, capsys):
+        cfg = preset_config("fig2a")
+        cfg["model"] = {"kind": "tabulated_chi", "path": str(tmp_path / "missing.csv")}
+        outdir = tmp_path / "d"
+        assert main(["bundle", "--config", _write_config(tmp_path, cfg), "--outdir", str(outdir)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+        assert not outdir.exists()
+
     def test_both_config_and_preset_rejected(self, tmp_path, capsys):
         path = _write_config(tmp_path, preset_config("fig2a"))
         assert main(["spectrum", "--config", path, "--preset", "fig2a"]) == 2
