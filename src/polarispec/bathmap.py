@@ -268,15 +268,17 @@ def effective_temperature(
     for sl in _blocks(grid.n_points):
         w = grid.points[sl]
         nb, db, kb, sb = num[: w.size], den[: w.size], kern[: w.size], share[: w.size]
-        nb.fill(0.0)
-        db.fill(0.0)
-        for w0, half_sq, height, p_y, p_z in lines:
+        for i, (w0, half_sq, height, p_y, p_z) in enumerate(lines):
             np.subtract(w, w0, out=kb)
             np.square(kb, out=kb)
             kb += half_sq
             np.divide(height, kb, out=kb)
-            nb += np.multiply(kb, p_y, out=sb)
-            db += np.multiply(kb, p_z, out=sb)
+            if i == 0:  # each share is >= +0, so 0.0 + share would be the share
+                np.multiply(kb, p_y, out=nb)
+                np.multiply(kb, p_z, out=db)
+            else:
+                nb += np.multiply(kb, p_y, out=sb)
+                db += np.multiply(kb, p_z, out=sb)
 
         # points without emission weight are set to +inf after the division
         dead = db < 1e-300

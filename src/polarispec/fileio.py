@@ -11,7 +11,13 @@ vectorized ``%.16e`` (after Adams, "Ryu revisited: printf floating point
 conversion", 2019): each |x| is scaled to 17 digits as a double-double,
 the rounding is decided against a derived error bound, and the rare
 field it cannot decide is formatted alone by ``_FMT %``, so every byte
-equals CPython's output.
+equals CPython's output.  Each field's bytes are built contiguously in a
+fixed 28-byte slot, NUL-padded before the sign and after the separator.
+A block in which every column has one sign and one exponent width (all
+but the few blocks where a column changes sign, or crosses |E| = 100, in
+a spectrum table) is assembled by one strided copy per column into a
+fixed-width row buffer; any other block, or one holding a ``_FMT %``
+field, drops the NUL bytes of all its slots instead.
 Every file is written atomically (temp file in the target directory,
 then rename) so partially written files never appear under the final
 name.  Headers are fixed strings; readers validate them byte-for-byte.
@@ -89,16 +95,20 @@ def write_columns(path: str, header: str, columns) -> None:
 _LOW, _HIGH, _E_MIN, _E_MAX = 1e-280, 1e280, -281, 281
 _TIE_MARGIN = 2.0**-40  # above the error bound 2**-47 derived in _format_block
 # A field's byte slot is 7 native uint32 words, each filled by one table
-# lookup; NUL bytes ("_") are dropped: _-d. dddd dddd dddd dddd e+ht o,__
-_SLOT, _SEP_BYTE = 28, 25
+# lookup; its bytes run contiguously between NUL bytes ("_"), the separator
+# last:  __d. dddd dddd dddd dddd e+to ,___  (positive, two-digit exponent)
+#        _-d. dddd dddd dddd dddd e+ht o,__  (negative, three-digit exponent)
+# so a field of sign s and exponent width 2 + w (s, w in {0, 1}) is the
+# bytes [2 - s, 25 + w) of its slot.
+_SLOT = 28
 
 
 @functools.cache
 def _tables():
     """Tables built on the first write: 10**(16 - E) as (hi, lo), each float
     correctly rounded from exact integers (so hi + lo is within 2**-106
-    relative), and the slot words "_-d." (at d + 10 * negative), "dddd",
-    "e+ht" and "o,__" (by E)."""
+    relative); the slot words "_-d." (at d + 10 * negative), "dddd", "e+to"
+    or "e+ht" and ",___" or "o,__" (by E); and 2 * w (by E)."""
     hi, lo = [], []
     for k in range(16 - _E_MIN, 16 - _E_MAX - 1, -1):
         if k >= 0:
@@ -109,11 +119,14 @@ def _tables():
             num, den = hi[-1].as_integer_ratio()
             lo.append((den - num * 10**-k) / (den * 10**-k))
     exps = [f"e{e:+04d}" for e in range(_E_MIN, _E_MAX + 1)]  # e+hto
+    wide = [e[2] != "0" for e in exps]
     text = [f"_{sign}{d}." for sign in "_-" for d in range(10)]
     text += [f"{g:04d}" for g in range(10**4)]
-    text += [e[:2] + e[2].replace("0", "_") + e[3] for e in exps] + [e[4] + ",__" for e in exps]
+    text += [e[:4] if w else e[:2] + e[3:] for e, w in zip(exps, wide)]
+    text += [e[4] + ",__" if w else ",___" for e, w in zip(exps, wide)]
     words = np.frombuffer("".join(text).replace("_", "\0").encode(), np.uint32)
-    return np.array(hi), np.array(lo), *np.split(words, np.cumsum([20, 10**4, len(exps)]))
+    parts = np.split(words, np.cumsum([20, 10**4, len(exps)]))
+    return np.array(hi), np.array(lo), *parts, 2 * np.array(wide, np.uint8)
 
 
 def _format_block(block) -> bytes:
@@ -132,8 +145,16 @@ def _format_block(block) -> bytes:
     by ``_FMT %`` when it is non-finite or outside [_LOW, _HIGH] (then y = 0),
     within _TIE_MARGIN of a tie, or when floor(y) before rounding lies outside
     [10**16, 10**17) (log10 off by one).  Zero needs no special path: N = E = 0.
+
+    Each field is written into its ``_SLOT``-byte slot, contiguous between
+    NUL bytes, and the slots are assembled into rows in one of two ways.
+    A block in which every column has one sign and one exponent width, and
+    no field needs ``_FMT %``, has one byte span per column: each column's
+    fields go into a fixed-width row buffer by one strided copy of
+    ``V<width>`` items.  Any other block drops the NUL bytes of all its
+    slots (the fallback fields are written in whole slots, padded by NULs).
     """
-    hi, lo, leads, groups, exp_head, exp_tail = _tables()
+    hi, lo, leads, groups, exp_head, exp_tail, wide = _tables()
     x = block.ravel()
     a = np.abs(x)
     ok = (a >= _LOW) & (a <= _HIGH)
@@ -154,18 +175,36 @@ def _format_block(block) -> bytes:
     index += carry
     top = n // 10**8
     lead = top // 10**8
+    neg = np.signbit(x)
     slots = np.empty((x.size, _SLOT), np.uint8)
     words = slots.view(np.uint32)
-    words[:, 0] = leads[lead + 10 * np.signbit(x)]
+    words[:, 0] = leads[lead + 10 * neg]
     for col, part in ((1, top - lead * 10**8), (3, n - top * 10**8)):
         high = part // 10**4
         words[:, col], words[:, col + 1] = groups[high], groups[part - high * 10**4]
     words[:, 5], words[:, 6] = exp_head[index], exp_tail[index]
-    slots.reshape(block.shape + (_SLOT,))[:, -1, _SEP_BYTE] = ord("\n")
+    layout = (wide[index] + neg).reshape(block.shape)  # s + 2 * w per field
+    if not fallback.any() and (layout == layout[0]).all():
+        return _uniform_rows(slots.reshape(len(layout), -1), layout[0].tolist())
     for i in np.flatnonzero(fallback):
-        text = (_FMT % float(x[i])).encode().ljust(_SEP_BYTE, b"\0")
-        slots[i, :_SEP_BYTE] = np.frombuffer(text, np.uint8)
+        text = (_FMT % float(x[i]) + ",").encode().ljust(_SLOT, b"\0")
+        slots[i] = np.frombuffer(text, np.uint8)
+    last = slots.reshape(block.shape + (_SLOT,))[:, -1]
+    last[last == ord(",")] = ord("\n")
     return slots[slots != 0].tobytes()
+
+
+def _uniform_rows(slots, layout) -> bytes:
+    """Rows of slots (one row of ``_SLOT``-byte slots per block row) whose
+    columns each have one layout s + 2 * w: one ``V<width>`` copy per column."""
+    spans = [(c * _SLOT + 2 - (k & 1), 23 + (k & 1) + (k >> 1)) for c, k in enumerate(layout)]
+    rows = np.empty((len(slots), sum(w for _, w in spans)), np.uint8)
+    at = 0
+    for start, w in spans:
+        rows[:, at : at + w].view(f"V{w}")[...] = slots[:, start : start + w].view(f"V{w}")
+        at += w
+    rows[:, -1] = ord("\n")
+    return rows.tobytes()
 
 
 def write_tra_csv(path: str, tra: TraSpectra) -> None:

@@ -47,10 +47,13 @@ from .core import (
     NumericalError,
     RealSpectrum,
     TraSpectra,
+    ValidationError,
     _blocks,
     _frozen,
     _require,
 )
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 __all__ = [
     "CavityParams",
@@ -89,22 +92,38 @@ def _denominator(omega: np.ndarray, chi: np.ndarray, cav: CavityParams):
 
     Runs on one block of frequencies ``omega`` and their ``chi`` values,
     and raises NumericalError before anything divides by a denominator
-    below 1e-14 of its terms' scale |w - omega_ph| + kappa/2 + |chi|.  For
-    a passive chi (Im chi >= 0) Im den >= kappa/2 > 0, so den cannot
-    vanish: only gain can cancel the cavity loss.  A passive chi is
-    refused only where kappa/2 is itself below 1e-14 of the scale, where
-    the rounding of Re den (about 1e-16 of the scale) can move |den|**2
-    by a percent or more.
+    below 1e-14 of its terms' scale |w - omega_ph| + kappa/2 + |chi|, or
+    by an exact zero.  For a passive chi (Im chi >= 0) Im den >= kappa/2 > 0,
+    so den cannot vanish: only gain can cancel the cavity loss.  A passive
+    chi is refused only where kappa/2 is itself below 1e-14 of the scale,
+    where the rounding of Re den (about 1e-16 of the scale) can move
+    |den|**2 by a percent or more.
+
+    Below that scale test lies underflow: a nonzero den whose |den|**2 is
+    below the smallest normal float (frequencies near 1e-154 or below)
+    would lose digits silently or divide by zero, so it is a ValidationError
+    naming |den|**2.  Over a normal |den|**2, a subnormal numerator such as
+    kappa_L * kappa_R is off by at most half its ulp, 2.5e-324, which moves
+    T or A by at most 1.1e-16, so it needs no check of its own.
     """
     den = omega - cav.omega_ph + 0.5j * cav.kappa + chi
     mag2 = den.real**2 + den.imag**2
     scale = np.abs(omega - cav.omega_ph) + 0.5 * cav.kappa + np.abs(chi)
-    bad = np.flatnonzero(mag2 < 1e-28 * scale**2)
-    if bad.size:
-        i = bad[0]
+    bad = mag2 < 1e-28 * scale**2
+    low = mag2.min() < _TINY  # one comparison per block in a normal run
+    if low:  # an exact zero hides from the scale test once scale**2 underflows
+        bad |= den == 0
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
         raise NumericalError(
             f"photon propagator denominator vanishes at w = {omega[i]:.6g} "
             f"(|den| = {np.sqrt(mag2[i]):.3e}, below 1e-14 of its scale {scale[i]:.3e})"
+        )
+    if low:
+        i = np.flatnonzero(mag2 < _TINY)[0]
+        raise ValidationError(
+            f"photon propagator |den|**2 = {mag2[i]:.3e} underflows at w = {omega[i]:.6g}: "
+            f"below the smallest normal float {_TINY:.3e}"
         )
     return den, mag2
 

@@ -5,6 +5,7 @@ import re
 import time
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -919,6 +920,34 @@ class TestConfigRefusals:
         assert (tmp_path / "spectra.csv").exists()
 
 
+# exponents printed with two and with three digits, inside the formatter's table,
+# none in [-7, 15], where a float with 17 - E bits after the point is an exact
+# tie at the 17th digit (which ``_FMT %`` must round); mantissas in [1.01, 9.99]
+# keep the values away from the powers of ten, where log10 may round across one
+_EXPONENTS = {2: st.one_of(st.integers(-98, -8), st.integers(16, 98)),
+              3: st.one_of(st.integers(-278, -101), st.integers(101, 278))}
+# each one needs ``_FMT %``: not finite, outside the table, a tie or a near-tie
+_BREAKING_VALUES = [math.nan, math.inf, 5e-324, 1e-300, 2251799813685247.75, 6.949401332094608e-275]
+
+
+@st.composite
+def _uniform_columns(draw, min_rows=1, max_rows=24):
+    """Columns and their (negative, exponent width) layouts: one sign and one
+    exponent width per column, with +-0.0 in two-digit columns."""
+    n = draw(st.integers(min_rows, max_rows))
+    cols, layouts = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        negative, width = draw(st.booleans()), draw(st.sampled_from([2, 3]))
+        mantissa = st.floats(1.01, 9.99)
+        if width == 2:
+            mantissa = st.one_of(st.just(0.0), mantissa)
+        m = draw(hnp.arrays(float, n, elements=mantissa))
+        col = m * 10.0 ** draw(hnp.arrays(float, n, elements=_EXPONENTS[width]))
+        cols.append(-col if negative else col)
+        layouts.append((negative, width))
+    return cols, layouts
+
+
 class TestCsvFormats:
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -1123,6 +1152,42 @@ class TestCsvFormats:
         cols = list(bits.view(float).T)
         path = tmp_path_factory.getbasetemp() / "bits.csv"
         fileio.write_columns(str(path), "h", cols)
+        assert path.read_bytes() == self._fmt_rows("h", cols)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(table=_uniform_columns())
+    def test_uniform_block_matches_per_field_format(self, tmp_path_factory, table):
+        cols, _ = table
+        path = tmp_path_factory.getbasetemp() / "uniform.csv"
+        with mock.patch.object(fileio, "_uniform_rows", wraps=fileio._uniform_rows) as spy:
+            fileio.write_columns(str(path), "h", cols)
+        assert spy.call_count == 1  # the one block took the strided copies
+        assert path.read_bytes() == self._fmt_rows("h", cols)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), rows=st.integers(3, 6),
+           where=st.sampled_from(["first", "inside", "last"]),
+           breaker=st.sampled_from(["sign", "width", *_BREAKING_VALUES]))
+    def test_one_breaking_row_sends_its_block_to_compaction(
+        self, tmp_path_factory, data, rows, where, breaker
+    ):
+        cols, layouts = data.draw(_uniform_columns(min_rows=rows, max_rows=3 * rows))
+        full = len(cols[0]) // rows  # blocks of all ``rows`` rows
+        start = rows * data.draw(st.integers(0, full - 1))
+        i = {"first": start, "inside": start + rows // 2, "last": start + rows - 1}[where]
+        c = data.draw(st.integers(0, len(cols) - 1))
+        negative, width = layouts[c]
+        if breaker == "sign":
+            cols[c][i] = -cols[c][i]
+        else:
+            value = (5.5e150 if width == 2 else 5.5e50) if breaker == "width" else breaker
+            cols[c][i] = -value if negative else value
+        path = tmp_path_factory.getbasetemp() / "broken.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK", rows * len(cols))
+            with mock.patch.object(fileio, "_uniform_rows", wraps=fileio._uniform_rows) as spy:
+                fileio.write_columns(str(path), "h", cols)
+        assert spy.call_count == -(-len(cols[0]) // rows) - 1
         assert path.read_bytes() == self._fmt_rows("h", cols)
 
     # near-ties: x * 10**(16 - E) within 2**-44 of a half-integer but not on

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +15,7 @@ from polarispec.core import (
     local_maxima,
     make_grid,
 )
-from polarispec.cli import parse_scenario, run_scenario
+from polarispec.cli import main, parse_scenario, preset_config, run_scenario
 from polarispec.bathmap import BathMode, DiscretizedBath, discretize_bath, spectral_density_from_chi
 from polarispec.spectra import (
     CavityParams,
@@ -393,3 +395,57 @@ class TestNumericalGuards:
         assert tra.transmission.values[1] == 1.0
         assert tra.transmission.values[[0, 2]].max() < 1e-31
         assert photon_green_function(_zero_chi(g), cav).values[1] == -1e16j
+
+    @staticmethod
+    def _fig2a_scaled(s, kappa_R=0.05):
+        """fig2a with every frequency (cavity, line, grid) multiplied by ``s``."""
+        cfg = preset_config("fig2a")
+        cfg["cavity"] = {"omega_ph": 0.0, "kappa_L": 0.05 * s, "kappa_R": kappa_R * s}
+        for key in ("g", "omega_exc", "gamma"):
+            cfg["model"][key] *= s
+        cfg["grid"].update(omega_min=-4.0 * s, omega_max=4.0 * s)
+        return cfg
+
+    @pytest.mark.parametrize("s", [1e-150, 1e150])
+    def test_scale_free_while_every_square_is_normal(self, s):
+        want = run_scenario(parse_scenario(self._fig2a_scaled(1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_scenario(parse_scenario(self._fig2a_scaled(s)))
+        for name in ("transmission", "reflection", "absorption"):
+            diff = getattr(got, name).values - getattr(want, name).values
+            assert np.abs(diff).max() < 1e-14
+
+    # |den|**2 is subnormal at 1e-160 and zero at 1e-200 and 1e-300
+    @pytest.mark.parametrize("kappa_R", [0.05, 0.0], ids=["two-port", "one-port"])
+    @pytest.mark.parametrize("s", [1e-160, 1e-200, 1e-300])
+    def test_underflowing_propagator_is_refused_by_name(self, s, kappa_R):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"\|den\|\*\*2 = .* underflows at w = "):
+                run_scenario(parse_scenario(self._fig2a_scaled(s, kappa_R)))
+
+    def test_subnormal_port_product_over_a_normal_denominator_runs(self):
+        # kappa_L * kappa_R = 2.2e-311 is subnormal, but |den|**2 >= 1/4 is not
+        g = make_grid(-1, 1, 3)
+        tra = spectra_harmonic(_zero_chi(g), CavityParams(0.0, 1.0, 2.225073858507e-311))
+        assert 0 < tra.transmission.values.max() < 1e-310
+        assert np.abs(tra.transmission.values + tra.reflection.values
+                      + tra.absorption.values - 1).max() < 1e-15
+
+    @pytest.mark.parametrize("s", [1e-160, 1e-200, 1e-300])
+    def test_underflow_is_one_error_line(self, tmp_path, capsys, s):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(self._fig2a_scaled(s)))
+        assert main(["spectrum", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: photon propagator \|den\|\*\*2 = \S+ underflows [^\n]*\n", captured.err)
+
+    def test_gain_pole_below_the_scale_test_is_still_a_pole(self):
+        # at 1e-150, 1e-28 * scale**2 underflows to 0, so only den == 0 finds the pole
+        s = 1e-150
+        g = make_grid(-s, s, 3)
+        chi = ComplexSpectrum(g, np.full(3, -0.05j * s))
+        with pytest.raises(NumericalError, match=r"vanishes at w = 0 \(\|den\| = 0\.000e\+00"):
+            spectra_harmonic(chi, CavityParams(0.0, 0.1 * s, 0.0))
