@@ -14,7 +14,8 @@ A scenario is one JSON document::
 Model kinds: ``tls``, ``disordered_tls`` (a ``disorder`` object, whose
 ``center`` is the mean energy, replaces ``omega_exc``), ``vibronic``,
 ``multilevel`` (any ladder; each dipole lists its lower level first),
-``tabulated_chi`` (``path`` to a chi CSV, or null for an empty cavity).
+``tabulated_chi`` (``path`` to a chi CSV, read and checked when the model
+is built, or null for an empty cavity).
 ``method`` is ``"harmonic"`` (short for ``{"kind": "harmonic"}``) or
 ``{"kind": "finite_n", "n_modes": M}`` with an optional ``gamma_mode``;
 ``finite_n`` feeds the chi of the bath of :func:`polarispec.bathmap.surrogate_bath`
@@ -250,8 +251,12 @@ def _fields(build: type, **codecs: _Codec) -> dict:
     }
 
 
-def _section(build: type, **codecs: _Codec) -> _Codec:
-    """Codec of a dataclass config object whose keys are its init fields."""
+def _section(build: type, named: bool = True, **codecs: _Codec) -> _Codec:
+    """Codec of a dataclass config object whose keys are its init fields.
+
+    An error in building the object is prefixed with its dotted path unless
+    ``named`` is false: a chi table's error names its file instead.
+    """
     fields = _fields(build, **codecs)
 
     def parse(d, path):
@@ -259,7 +264,7 @@ def _section(build: type, **codecs: _Codec) -> _Codec:
         try:
             return build(**kwargs)
         except ValidationError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            raise ConfigError(f"{path}: {exc}" if named else str(exc)) from exc
 
     return _Codec(parse, lambda obj: _dump_fields(fields, obj), build=build)
 
@@ -302,7 +307,7 @@ _MODEL = _kinds(
     vibronic=_section(VibronicModel, m_max=_INTEGER),
     multilevel=_section(MultilevelModel, levels=_rows(2, "[omega, population] pairs"),
                         dipoles=_rows(3, "[low, high, amplitude] triples")),
-    tabulated_chi=_section(TabulatedChi, path=_PATH),
+    tabulated_chi=_section(TabulatedChi, named=False, path=_PATH),
 )
 _METHOD = _section(MethodSpec, kind=_RAW, n_modes=_INTEGER)
 _SCENARIO = _fields(
@@ -338,11 +343,15 @@ def parse_sweep(cfg: dict) -> Sweep:
         raise ConfigError("sweep.parameter: expected a dotted path string")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values: expected a nonempty list")
+    # a value that leaves the base's model config as it is shares the base's
+    # model, so a line model is built and a chi table read once per sweep
+    same_model = {**_SCENARIO, "model": _MODEL._replace(parse=lambda v, path: base.model)}
     scenarios = []
     for i, v in enumerate(values):
         cfg = _apply_parameter(copy.deepcopy(base_cfg), parameter, v)
+        fields = same_model if cfg["model"] == base_cfg["model"] else _SCENARIO
         try:
-            scenarios.append(parse_scenario(cfg))
+            scenarios.append(Scenario(**_parse_fields(fields, cfg, "scenario", "")))
         except ValidationError as exc:
             raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
     return Sweep(base, parameter, tuple(values), tuple(scenarios))

@@ -10,10 +10,15 @@ The transforms weight their samples with ``_trapezoid_weights``.  The
 pointwise kernels (pole sum, effective-temperature line sum, Faddeeva
 polynomial, and the spectra formula T/R/A from chi) run a large grid in
 blocks of ``_BLOCK`` points (``_blocks``), the first three adding one pole
-or term at a time, and the CSV writer formats ``_BLOCK`` fields at a time;
-the Fourier sums over two uniform grids (correlation <-> chi, J and C(t))
-are one chirp-z transform each, ``_chirp_z``, in O((N+K) log(N+K)) with
-``numpy.fft``; no dense block is ever built.  Its blocks pass through one
+or term at a time; the pole sum, in real arithmetic after a power-of-two
+prescale, does so below 2048 poles, and from there runs tiles of a few
+points against fixed chunks of 4096 poles, each chunk's terms summed
+pairwise, so that a value depends on its own frequency and the pole list
+only, bit for bit wherever the scaled steps stay normal.  The CSV writer
+formats ``_BLOCK`` fields at a time.  The Fourier sums over two uniform
+grids (correlation <-> chi, J and C(t)) are one chirp-z transform each,
+``_chirp_z``, in O((N+K) log(N+K)) with ``numpy.fft``; no dense block is
+ever built.  Its blocks pass through one
 reused buffer of about ``8 * _BLOCK`` points per row, transformed in place,
 and their terms are added in block order, so besides its input it holds
 O(rows x pass) points and the K terms of each block.
@@ -21,6 +26,7 @@ O(rows x pass) points and the K terms of each block.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -65,16 +71,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     uncopied; a writeable array, or a view of someone else's data, is
     copied, so no later write to the caller's array reaches the container.
     """
-    if a.flags.owndata and not a.flags.writeable:
+    flags = a.flags
+    if flags.owndata and not flags.writeable:
         return a
     a = np.array(a, copy=True)
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, a fresh array its caller gives away, marked read-only (see :func:`_readonly`)."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -101,8 +108,14 @@ class _Columns:
 
     def _store(self, arrays) -> None:
         names = self.record._fields
-        cols = [_readonly(np.asarray(a, dtype=float)) for a in arrays]
-        if len(cols) != len(names) or any(c.ndim != 1 or c.shape != cols[0].shape for c in cols):
+        cols = None
+        if all(isinstance(a, (list, tuple)) for a in arrays):
+            # one fresh block, frozen before its rows are taken: the set holds them uncopied
+            with contextlib.suppress(ValueError):  # ragged: column by column below
+                cols = list(_frozen(np.array(arrays, dtype=float)))
+        if cols is None:
+            cols = [_readonly(np.asarray(a, dtype=float)) for a in arrays]
+        if len(cols) != len(names) or cols[0].ndim != 1 or len({c.shape for c in cols}) != 1:
             raise ValidationError(f"need one 1-D array of one length per field {list(names)}")
         self.check(*cols)
         self.__dict__.update(zip(names, cols))
@@ -131,20 +144,29 @@ def _count(name: str, n, low: int, high: int = _MAX_COUNT) -> int:
     return int(n)
 
 
-# each rule's test of v; _require adds v < inf, so every rule refuses inf and NaN
-_RULES = {"finite": lambda v: v > -math.inf, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0}
+def _extremes(v: np.ndarray):
+    """A float array's values as Python floats if it holds at most 16, else its min and max.
+
+    Every bound test of the values gives the same verdict on the pair: NaN
+    propagates through both reductions, and fails any comparison.  So a
+    small array, a model's line say, skips numpy's per-call cost, and a
+    large one is two reductions with no temporary.
+    """
+    return v.ravel().tolist() if v.size <= 16 else (v.min(), v.max())
+
+
+# each rule as (lo, closed): v must lie in (lo, inf), or [lo, inf) if closed, so
+# every rule refuses inf and NaN
+_RULES = {"finite": (-math.inf, False), "> 0": (0.0, False), ">= 0": (0.0, True)}
 
 
 def _require(rule: str, **values) -> None:
-    """ValidationError("<name> must be <rule>") unless each float or array passes ``rule``."""
+    """ValidationError("<name> must be <rule>") unless each number or array passes ``rule``."""
+    lo, closed = _RULES[rule]
     for name, v in values.items():
-        if isinstance(v, float):  # a float skips numpy's per-call cost
-            ok = _RULES[rule](v) and v < math.inf
-        else:
-            v = np.asarray(v, dtype=float)
-            ok = (_RULES[rule](v) & (v < math.inf)).all()
-        if not ok:
-            raise ValidationError(f"{name} must be {rule}")
+        for x in (float(v),) if isinstance(v, (int, float)) else _extremes(np.asarray(v, dtype=float)):
+            if not ((lo <= x if closed else lo < x) and x < math.inf):
+                raise ValidationError(f"{name} must be {rule}")
 
 
 @dataclass(frozen=True)

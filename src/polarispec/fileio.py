@@ -29,7 +29,7 @@ import contextlib
 import functools
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,9 +262,19 @@ def read_chi_csv(path: str) -> ComplexSpectrum:
 
 @dataclass(frozen=True)
 class TabulatedChi:
-    """Susceptibility read from a CSV file; ``path=None`` means chi = 0."""
+    """Susceptibility read from a CSV file; ``path=None`` means chi = 0.
+
+    The table is read and checked once, when the model is built, and held
+    with it (like a line model's lines), so a missing or malformed file is
+    refused there and every chi call reuses the one read.
+    """
 
     path: str | None
+    _table: ComplexSpectrum | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = None if self.path is None else read_chi_csv(self.path)
+        object.__setattr__(self, "_table", table)
 
     def transitions(self) -> None:
         """None: a tabulated chi carries no line list."""
@@ -272,9 +282,9 @@ class TabulatedChi:
 
     def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
         """The table on ``grid``: verbatim on its own grid, else interpolated."""
-        if self.path is None:
+        chi = self._table
+        if chi is None:
             return ComplexSpectrum(grid, _frozen(np.zeros(grid.n_points, dtype=complex)))
-        chi = read_chi_csv(self.path)
         if chi.grid == grid:
             return chi
         if grid.omega_min < chi.grid.omega_min or grid.omega_max > chi.grid.omega_max:

@@ -9,12 +9,16 @@ the kernels that skip values they already know: the density transform
 evaluates each distinct |w| once, and a set without emission weight skips
 the effective-temperature line sums.  The chirp-z engine streams its
 blocks through one reused buffer; its reference is the same transform
-with every block held at once.
+with every block held at once.  The pole sum's real arithmetic is also
+held to 200-bit sums, in both of its orientations, and to the values it
+gives a lone point and a grid scaled by a power of two.
 """
 
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,6 +51,8 @@ from polarispec.susceptibility import (
     TlsEnsemble,
     TransitionSet,
     VibronicModel,
+    _MANY_POLES,
+    _POLE_CHUNK,
     _pole_sum,
     chi_disordered,
     chi_from_spectral_density,
@@ -69,14 +75,23 @@ def _assert_bitwise(got, want):
 
 
 def _pole_sum_unblocked(omega, poles):
-    vals = np.zeros(omega.size, dtype=complex)
-    x = np.empty(omega.size)
-    z = np.empty(omega.size, dtype=complex)
-    for c, w, s in poles:
-        np.subtract(omega, c, out=x)
-        np.add(x, 0.5j * w, out=z)
-        np.divide(s, z, out=z)
-        np.subtract(vals, z, out=vals)
+    # the kernel's power-of-two prescale f of omega, c, h and s, then its real
+    # arithmetic: each pole adds -(s/q)*d and (s/q)*h, q = d*d + h*h
+    c, w, s = np.array(poles, dtype=float).T
+    h = 0.5 * w
+    hi = max(np.abs(omega).max(), np.abs(c).max(), h.max())
+    f = 2.0 ** -((math.frexp(hi)[1] + math.frexp(h.min())[1]) // 2)
+    x = omega * f
+    re, im, d, q = np.zeros((4, omega.size))
+    for cp, hp, sp in zip((c * f).tolist(), (h * f).tolist(), (s * f).tolist()):
+        np.subtract(x, cp, out=d)
+        np.multiply(d, d, out=q)
+        np.add(q, hp * hp, out=q)
+        np.divide(sp, q, out=q)
+        re -= q * d
+        im += q * hp
+    vals = np.empty(omega.size, dtype=complex)
+    vals.real, vals.imag = re, im
     return vals
 
 
@@ -142,6 +157,108 @@ class TestPoleSumBlocks:
         omega[[0, 1, -2, -1]] = [-0.0, 0.0, 0.0, -0.0]
         poles = data.draw(_poles(omega)) + [(0.0, 0.3, 1.0), (-0.0, 0.05, -0.5)]
         _assert_bitwise(_pole_sum(omega, iter(poles)), _pole_sum_unblocked(omega, poles))
+
+
+def _exact_pole_sum(omega, poles):
+    """Per point: Re and Im of the pole sum at 200 bits, and the sums of |term|."""
+    rows = []
+    with mpmath.workprec(200):
+        for x in omega.tolist():
+            re = im = abs_re = abs_im = mpmath.mpf(0)
+            for c, w, s in poles:
+                d = mpmath.mpf(x) - c
+                h = mpmath.mpf(w) / 2
+                t = s / (d * d + h * h)
+                re, abs_re = re - t * d, abs_re + abs(t * d)
+                im, abs_im = im + t * h, abs_im + abs(t * h)
+            rows.append((re, im, abs_re, abs_im))
+    return rows
+
+
+@st.composite
+def _pole_sets(draw, many):
+    """A few grid points, among them +-0.0, and poles for either orientation.
+
+    Few: 3-8 poles by ``_poles`` and two at +-0.0.  Many: the threshold, or
+    two chunks with a short last one, some poles on the grid points and at
+    +-0.0, widths equal or mixed.
+    """
+    points = st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0])
+    omega = np.array(draw(st.lists(points, min_size=1, max_size=2 if many else 6)))
+    if not many:
+        return omega, draw(_poles(omega)) + [(0.0, 0.3, 1.0), (-0.0, 0.05, -0.5)]
+    widths = draw(st.sampled_from([[0.3], [0.3, 0.05], [0.3, 0.05, 1.7, 1e-3]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([_MANY_POLES, _POLE_CHUNK + 3]))
+    c = rng.uniform(-4.0, 4.0, n)
+    at = rng.choice(n, omega.size + 2, replace=False)
+    c[at] = np.concatenate((omega, [0.0, -0.0]))
+    return omega, list(zip(c.tolist(), rng.choice(widths, n).tolist(),
+                           rng.uniform(-3.0, 3.0, n).tolist()))
+
+
+class TestPoleSumArithmetic:
+    """The real-arithmetic pole sum against exact sums, and what its value depends on."""
+
+    @pytest.mark.parametrize("many", [False, True], ids=["one pole at a time", "pole chunks"])
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(data=st.data())
+    def test_within_four_eps_of_the_exact_sum(self, many, data):
+        omega, poles = data.draw(_pole_sets(many))
+        assert (len(poles) >= _MANY_POLES) == many
+        got = _pole_sum(omega, poles)
+        eps = np.finfo(float).eps
+        for v, (re, im, abs_re, abs_im) in zip(got.tolist(), _exact_pole_sum(omega, poles)):
+            assert abs(v.real - re) <= 4 * eps * abs_re
+            assert abs(v.imag - im) <= 4 * eps * abs_im
+
+    def test_one_point_grid_reproduces_the_full_grid_above_the_threshold(self):
+        # two chunks, the last of 5 poles, against tiles of a few points; the grid
+        # reaches past the poles, so a lone point's prescale differs from the grid's
+        rng = np.random.default_rng(11)
+        omega = np.linspace(-8.0, 8.0, 1001)
+        omega[0] = -0.0
+        n = _POLE_CHUNK + 5
+        c = rng.uniform(-4.0, 4.0, n)
+        c[:3] = [omega[450], 0.0, -0.0]
+        poles = np.stack((c, rng.choice([0.3, 0.05, 1e-3], n), rng.uniform(-3.0, 3.0, n)), axis=1)
+        full = _pole_sum(omega, poles)
+        for i in range(omega.size):
+            _assert_bitwise(_pole_sum(omega[i : i + 1], poles), full[i : i + 1])
+
+    @pytest.mark.parametrize("pole", [
+        (0.0, 1e-200, 1e-200),  # h * h = 2.5e-401 underflows unscaled: the centre reads s / 0
+        (1e200, 1.0, 1e200),  # d * d = 1e400 overflows unscaled: chi reads 0, not about 1
+    ])
+    def test_pole_whose_unscaled_square_leaves_the_float_range(self, pole):
+        omega = np.array([-1.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _pole_sum(omega, [pole])
+        # at w = +-1 the first pole's Im part, s*h/d**2 = 5e-401, rounds to zero:
+        # below the smallest normal float only an absolute bound holds
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        for v, (re, im, abs_re, abs_im) in zip(got.tolist(), _exact_pole_sum(omega, [pole])):
+            assert abs(v.real - re) <= 4 * eps * abs_re + tiny
+            assert abs(v.imag - im) <= 4 * eps * abs_im + tiny
+
+    @pytest.mark.parametrize("n", [5, _MANY_POLES], ids=["one pole at a time", "pole chunks"])
+    def test_chi_is_unchanged_by_a_power_of_two_scale(self, n):
+        rng = np.random.default_rng(n)
+        grid = make_grid(-4.0, 4.0, 17)
+        centres = rng.uniform(-3.5, 3.5, n)
+        centres[:3] = [grid.points[5], 0.0, -0.0]
+        weights = rng.uniform(0.1, 2.0, n)
+        pops = rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.5, n)
+        widths = rng.choice([0.3, 0.05, 1e-3], n)
+        want = chi_multilevel(TransitionSet.from_arrays(centres, weights, *pops, widths), grid)
+        # over k in [-400, 400] every scaled frequency, width and weight is a normal float
+        for k in range(-400, 401):
+            f = 2.0**k
+            g = make_grid(-4.0 * f, 4.0 * f, 17)
+            assert np.array_equal(g.points, grid.points * f)
+            ts = TransitionSet.from_arrays(centres * f, weights * f, *pops, widths * f)
+            _assert_bitwise(chi_multilevel(ts, g).values, want.values)
 
 
 @st.composite

@@ -509,6 +509,25 @@ class TestChiReadOnce:
             export_bundle(parse_scenario(cfg), str(tmp_path / "bundle"))
         assert len(reads) == 1
 
+    def test_sweep_over_a_tabulated_base(self, tmp_path, reads):
+        base = self._tabulated_config(tmp_path, "harmonic")
+        sweep = {"base": base, "parameter": "cavity.kappa_L", "values": [0.04, 0.05, 0.06]}
+        run_sweep(parse_sweep(sweep), str(tmp_path / "sweep"))
+        assert len(reads) == 1
+
+    def test_table_is_read_and_checked_when_parsed(self, tmp_path, reads):
+        cfg = self._tabulated_config(tmp_path, "harmonic")
+        s = parse_scenario(cfg)
+        assert len(reads) == 1
+        assert scenario_to_config(s)["model"] == {"kind": "tabulated_chi", "path": cfg["model"]["path"]}
+        with open(cfg["model"]["path"], "a") as fh:
+            fh.write("9.0,1.0\n")
+        with pytest.raises(ValidationError, match="^[^:]*chi.csv: "):
+            parse_scenario(cfg)
+        cfg["model"]["path"] = str(tmp_path / "missing.csv")
+        with pytest.raises(FileNotFoundError):
+            parse_scenario(cfg)
+
 
 class TestModelChiLookup:
     """Models reach the chi formulas through module attributes, at call time."""

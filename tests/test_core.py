@@ -100,6 +100,25 @@ class TestRequire:
                     _require(rule, ok=good[-1], x=form)
 
 
+    @pytest.mark.parametrize("n", [16, 17, 1000])  # up to 16 values as floats, then min and max
+    @pytest.mark.parametrize(
+        "rule, good, bad",
+        [
+            ("finite", [-1e308, -0.0, 2.0], [math.inf, -math.inf, math.nan]),
+            ("> 0", [5e-324, 2.0], [0.0, -0.0, -1.0, math.inf, math.nan]),
+            (">= 0", [0.0, -0.0, 2.0], [-5e-324, math.inf, math.nan]),
+        ],
+    )
+    def test_one_bad_value_anywhere_in_a_larger_array_is_refused(self, rule, good, bad, n):
+        _require(rule, x=np.resize(good, n))
+        for v in bad:
+            for at in (0, n // 2, n - 1):
+                a = np.resize(good, n)
+                a[at] = v
+                with pytest.raises(ValidationError, match=f"^x must be {re.escape(rule)}$"):
+                    _require(rule, x=a)
+
+
 class TestSpectrumContainers:
     def test_length_mismatch(self):
         g = make_grid(0, 1, 5)

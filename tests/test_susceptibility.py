@@ -140,8 +140,12 @@ class TestChiTlsThermal:
         g = make_grid(-3, 3, 301)
         m = TlsEnsemble(1, 1, -1, 1000, 0.3)
         assert thermal_populations(m.beta, m.omega_exc) == (0.0, 1.0)
-        expected = m.n_emitters * m.g**2 / (g.points - m.omega_exc + 0.5j * m.gamma)
-        assert np.array_equal(m.chi(g).values, expected)
+        # the pole sum's real arithmetic for the one line of strength (0 - 1) * N g**2
+        # (its power-of-two prescale changes no bit where every step is normal)
+        d, h = g.points - m.omega_exc, 0.5 * m.gamma
+        t = ((0.0 - 1.0) * (m.n_emitters * m.g**2)) / (d * d + h * h)
+        assert np.array_equal(m.chi(g).values.real, 0.0 - t * d)
+        assert np.array_equal(m.chi(g).values.imag, 0.0 + t * h)
 
 
 class TestChiDisordered:
@@ -150,8 +154,12 @@ class TestChiDisordered:
         m = TlsEnsemble(1.0, 1.5, 0.0, math.inf, 0.1)
         d = DisorderSpec("lorentzian", 0.0, 1.0)
         chi = chi_disordered(m, d, g)
-        ref = -2.25 / (g.points - 0.0 + 0.55j)
-        assert np.array_equal(chi.values, ref)
+        # -2.25 / (w - 0.0 + 0.55j) in the pole sum's real arithmetic (its
+        # power-of-two prescale changes no bit where every step is normal)
+        d, h = g.points - 0.0, 0.55
+        t = 2.25 / (d * d + h * h)
+        assert np.array_equal(chi.values.real, 0.0 - t * d)
+        assert np.array_equal(chi.values.imag, 0.0 + t * h)
 
     def test_lorentzian_matches_quadrature(self):
         m = TlsEnsemble(1.0, 1.0, 0.5, math.inf, 0.2)
@@ -472,11 +480,19 @@ class TestTransitionSetArrays:
         g = make_grid(-6.0, 6.0, 301)
         chi = chi_multilevel(by_records, g).values
         assert np.array_equal(chi, chi_multilevel(by_arrays, g).values)
-        # the pole sum of the records, one line at a time in Python floats
-        ref = np.zeros(g.n_points, dtype=complex)
+        # the pole sum of the records, one line at a time in Python floats, in
+        # the kernel's real arithmetic after its power-of-two prescale f of
+        # omega, c, h and s (a subnormal weight makes it show)
+        hi = max([6.0] + [max(abs(t.omega_zy), 0.5 * t.gamma) for t in lines])
+        lo = min(0.5 * t.gamma for t in lines)
+        f = 2.0 ** -((math.frexp(hi)[1] + math.frexp(lo)[1]) // 2)
+        re, im = np.zeros((2, g.n_points))
         for t in lines:
-            ref -= ((t.p_y - t.p_z) * t.weight) / (g.points - t.omega_zy + 0.5j * t.gamma)
-        assert np.array_equal(chi, ref)
+            d, h = g.points * f - t.omega_zy * f, 0.5 * t.gamma * f
+            r = ((t.p_y - t.p_z) * t.weight * f) / (d * d + h * h)
+            re -= r * d
+            im += r * h
+        assert np.array_equal(chi.real, re) and np.array_equal(chi.imag, im)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -501,6 +517,14 @@ class TestTransitionSetArrays:
         with pytest.raises(ValidationError) as array_error:
             TransitionSet.from_arrays(*(columns[f] for f in _FIELDS))
         assert str(record_error.value) == str(array_error.value) == message
+
+    @pytest.mark.parametrize("value", [1.5, -0.25, math.nan])
+    def test_one_bad_population_in_a_large_set_is_named(self, value):
+        # above 16 lines a column is tested by its min and max
+        columns = {f: np.full(100, v) for f, v in _VALID_LINE.items()}
+        columns["p_z"][[3, 60]] = value
+        with pytest.raises(ValidationError, match=re.escape(f"p_z must lie in [0, 1], got {value}")):
+            TransitionSet.from_arrays(*(columns[f] for f in _FIELDS))
 
     @pytest.mark.parametrize(
         "columns",
