@@ -16,7 +16,6 @@ Units: hbar = 1 and one arbitrary frequency unit throughout.
 from . import bathmap, core, spectra, susceptibility
 from .bathmap import *
 from .core import *
-from .fileio import TabulatedChi
 from .spectra import *
 from .susceptibility import *
 
@@ -28,5 +27,4 @@ __all__ = [
     *susceptibility.__all__,
     *bathmap.__all__,
     *spectra.__all__,
-    "TabulatedChi",
 ]

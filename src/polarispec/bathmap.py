@@ -16,7 +16,8 @@ function.  This module provides the pieces of that dictionary:
 A bath holds its modes as three read-only arrays (frequency, coupling,
 linewidth), which :func:`discretize_bath` fills directly; a
 :class:`BathMode` record is the view of one mode, checked when it
-enters its bath.
+enters its bath.  Like every line model, a bath holds its lines, one
+absorbing line per mode, from when it is built.
 
 Conventions: hbar = 1; densities live on positive frequencies only; the
 two-sided extension C(-t) = conj(C(t)) of a stationary ensemble is used
@@ -39,6 +40,7 @@ import numpy as np
 from .core import (
     _BLOCK,
     _MAX_COUNT,
+    _TINY,
     AccuracyWarning,
     FrequencyGrid,
     RealSpectrum,
@@ -151,21 +153,14 @@ class DiscretizedBath(_Columns, LineModel):
 
     @property
     def total_coupling_sq(self) -> float:
-        return float(sum(np.square(self.coupling).tolist()))
+        return float(sum(self.transitions().weight.tolist()))
 
-    def transitions(self) -> TransitionSet:
-        """The bath as a transition set, one fully absorbing line per mode.
-
-        Mode k becomes Transition(omega_k, g_k**2, p_y=1, p_z=0, gamma_k),
-        so :func:`polarispec.susceptibility.chi_multilevel` of this set is
-        the bath's discrete susceptibility
-        -sum_k g_k**2 / (w - omega_k + i gamma_k/2), which is what
-        :meth:`chi` returns.
-        """
+    def _store(self, arrays) -> None:
+        """Store and check the modes, then hold mode k as the line
+        (omega_k, g_k**2, 1, 0, gamma_k), whose pole sum is the bath's chi."""
+        super()._store(arrays)
         n = len(self)
-        return TransitionSet.from_arrays(
-            self.omega, np.square(self.coupling), np.ones(n), np.zeros(n), self.gamma
-        )
+        self._hold(self.omega, np.square(self.coupling), np.ones(n), np.zeros(n), self.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +229,16 @@ def effective_temperature(
     contributes its initial population to C(+w) and its final population
     to C(-w) through the same Lorentzian kernel.  Thermal populations
     therefore give beta_eff equal to beta at every transition frequency
-    to machine precision, regardless of linewidth, while beta * omega stays
-    below 690.8 + ln(4 * weight / gamma), about 690: beyond it the line's
-    emission sum (p_z times its Lorentzian peak 4 * weight / gamma) falls
-    under the 1e-300 dead-point floor and the point reads +inf, as every
-    point does once exp(-beta * omega) underflows near beta * omega = 745.
+    to machine precision, regardless of linewidth.
+
+    A point is dead, and reads +inf, where its emission sum is below the
+    smallest normal float.  Above it the sum keeps a normal float's
+    relative precision (a rounding among the subnormals is off by at most
+    2**-1075, half an ulp of the smallest normal); below it the precision
+    runs out.  So a thermal line reads beta at its frequency while its
+    emission sum p_z * 4 * weight / gamma is normal (beta * omega below
+    708.4 + ln(4 * weight / gamma)) and exp(beta * omega) does not
+    overflow (beta * omega below 709.78); beyond either it reads +inf.
 
     The set must be in uphill form (all transition frequencies positive);
     emission content is carried by the final-state populations.
@@ -280,8 +280,8 @@ def effective_temperature(
                 nb += np.multiply(kb, p_y, out=sb)
                 db += np.multiply(kb, p_z, out=sb)
 
-        # points without emission weight are set to +inf after the division
-        dead = db < 1e-300
+        # points whose emission sum is not a normal float are set to +inf after the division
+        dead = db < _TINY
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = np.divide(nb, db, out=nb)
         if ((ratio < 1.0 - 1e-10) & ~dead).any():

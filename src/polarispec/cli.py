@@ -80,12 +80,12 @@ from .core import (
     _require,
     local_maxima,
 )
-from .fileio import TabulatedChi
 from .spectra import CavityParams, spectra_harmonic
 from .susceptibility import (
     DisorderedTls,
     DisorderSpec,
     MultilevelModel,
+    TabulatedChi,
     TlsEnsemble,
     VibronicModel,
 )

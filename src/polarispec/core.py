@@ -135,6 +135,7 @@ class _Columns:
 # the most complex128 values whose size in bytes numpy can index: a larger
 # count would fail as "array is too big" instead of as a MemoryError
 _MAX_COUNT = np.iinfo(np.intp).max // 16
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _count(name: str, n, low: int, high: int = _MAX_COUNT) -> int:

@@ -1,8 +1,7 @@
-"""CSV and SVG emission, plus tabulated susceptibility import.
+"""CSV and SVG files: the package's writers and its one reader.
 
-:class:`TabulatedChi` is the model whose chi is read from a chi CSV and
-interpolated onto the requested grid (here, not in ``susceptibility``,
-which cannot import this module).
+:func:`read_chi_csv` reads a tabulated susceptibility, which
+:class:`polarispec.susceptibility.TabulatedChi` holds as its model.
 
 All CSV output uses 17 significant digits (``%.16e``), which round-trips
 float64 exactly.  Rows are streamed in blocks of ``core._BLOCK`` fields
@@ -29,16 +28,17 @@ import contextlib
 import functools
 import os
 import warnings
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ComplexSpectrum, FrequencyGrid, RealSpectrum, TraSpectra, ValidationError
 from .core import _blocks, _frozen, _two_product
-from .bathmap import CorrelationFunction, EffectiveTemperature
+
+if TYPE_CHECKING:
+    from .bathmap import CorrelationFunction, EffectiveTemperature
 
 __all__ = [
-    "TabulatedChi",
     "write_columns",
     "write_tra_csv",
     "write_chi_csv",
@@ -258,42 +258,6 @@ def read_chi_csv(path: str) -> ComplexSpectrum:
         raise ValidationError(f"{path}: frequency column must be uniform ascending")
     grid = FrequencyGrid(float(omega[0]), float(omega[-1]), omega.size)
     return ComplexSpectrum(grid, _frozen(data[:, 1] + 1j * data[:, 2]))
-
-
-@dataclass(frozen=True)
-class TabulatedChi:
-    """Susceptibility read from a CSV file; ``path=None`` means chi = 0.
-
-    The table is read and checked once, when the model is built, and held
-    with it (like a line model's lines), so a missing or malformed file is
-    refused there and every chi call reuses the one read.
-    """
-
-    path: str | None
-    _table: ComplexSpectrum | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        table = None if self.path is None else read_chi_csv(self.path)
-        object.__setattr__(self, "_table", table)
-
-    def transitions(self) -> None:
-        """None: a tabulated chi carries no line list."""
-        return None
-
-    def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
-        """The table on ``grid``: verbatim on its own grid, else interpolated."""
-        chi = self._table
-        if chi is None:
-            return ComplexSpectrum(grid, _frozen(np.zeros(grid.n_points, dtype=complex)))
-        if chi.grid == grid:
-            return chi
-        if grid.omega_min < chi.grid.omega_min or grid.omega_max > chi.grid.omega_max:
-            raise ValidationError(
-                "scenario grid extends beyond the tabulated susceptibility range"
-            )
-        re = np.interp(grid.points, chi.grid.points, chi.values.real)
-        im = np.interp(grid.points, chi.grid.points, chi.values.imag)
-        return ComplexSpectrum(grid, _frozen(re + 1j * im))
 
 
 def write_jeff_csv(path: str, J: RealSpectrum) -> None:

@@ -27,9 +27,11 @@ formulas (input drive on the left, detection on both sides)
     R = 1 + 2 kappa_L Im D + kappa_L^2 |D|^2
     A = -kappa_L (kappa |D|^2 + 2 Im D)
 
-subtract two nearly equal terms for A; they are the tests' independent
-reference (see each definition).  Both sets satisfy T + R + A = 1
-identically.
+subtract two nearly equal terms for A.  Both sets satisfy T + R + A = 1
+identically.  Three references remain here: :func:`photon_green_function`,
+the port formulas :func:`spectra_from_green` and the finite route's
+:func:`green_finite_n`.  The tests' own oracles, the Landauer trace and
+the coupled-oscillator resolvent, live with the tests.
 """
 
 from __future__ import annotations
@@ -48,12 +50,11 @@ from .core import (
     RealSpectrum,
     TraSpectra,
     ValidationError,
+    _TINY,
     _blocks,
     _frozen,
     _require,
 )
-
-_TINY = np.finfo(float).tiny  # the smallest normal float
 
 __all__ = [
     "CavityParams",
@@ -61,7 +62,6 @@ __all__ = [
     "spectra_from_green",
     "spectra_harmonic",
     "green_finite_n",
-    "landauer_transmission",
 ]
 
 
@@ -198,16 +198,3 @@ def green_finite_n(
     """
     return photon_green_function(bath.chi(grid), cav)
 
-
-def landauer_transmission(D: ComplexSpectrum, cav: CavityParams) -> RealSpectrum:
-    """Transmission as a transport trace through the photon port.
-
-    With both port coupling matrices of rank one on the photon entry the
-    trace Tr[Gamma_L G^dag Gamma_R G] collapses to
-    kappa_L * kappa_R * D* D, which is evaluated here literally as the
-    conjugate product (an independent path from the |D|^2 route used by
-    :func:`spectra_from_green`), for the tests; no caller in the package.
-    """
-    v = D.values
-    trace = cav.kappa_L * (np.conj(v) * cav.kappa_R * v)
-    return RealSpectrum(D.grid, trace.real)

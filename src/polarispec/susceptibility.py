@@ -13,11 +13,15 @@ real axis.  Populations need not be thermal; any stationary occupation
 set is accepted, which is what makes saturated and optically pumped
 ensembles expressible.
 
-Every model object has ``chi(grid)`` and ``transitions()`` (None when
-it has no finite line list).  A :class:`LineModel`, the thermal
-two-level ensemble included, builds and checks its lines once, with the
-model, and its chi is their pole sum :func:`chi_multilevel`;
-:class:`DisorderedTls` takes the disorder average :func:`chi_disordered`.
+The five model kinds live here, each with ``chi(grid)`` and
+``transitions()`` (None when it has no finite line list): the line
+models :class:`TlsEnsemble`, :class:`VibronicModel` and
+:class:`MultilevelModel`; :class:`DisorderedTls`, whose chi is the
+disorder average :func:`chi_disordered`; and :class:`TabulatedChi`, a
+table read by :func:`polarispec.fileio.read_chi_csv` when it is built.
+A :class:`LineModel`, the surrogate bath included, builds, checks and
+holds its lines in one step, :meth:`LineModel._hold`, when it is built;
+its chi is their pole sum :func:`chi_multilevel`.
 The methods look these functions up when called.  The concrete models
 produce only uphill transitions (w_t > 0), i.e. the rotating-wave
 approximation; :func:`chi_multilevel` accepts signed frequencies, so the
@@ -27,16 +31,17 @@ two-sided symmetry ``chi(-w) = conj(chi(w))`` remains expressible.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from . import fileio
 from .core import (
     _BLOCK,
     _MAX_COUNT,
+    _TINY,
     AccuracyWarning,
     ComplexSpectrum,
     FrequencyGrid,
@@ -61,6 +66,7 @@ __all__ = [
     "DisorderedTls",
     "VibronicModel",
     "MultilevelModel",
+    "TabulatedChi",
     "thermal_populations",
     "vibronic_transitions",
     "with_mirror_transitions",
@@ -125,6 +131,10 @@ class TransitionSet(_Columns):
 class LineModel:
     """A model whose lines are built and checked with it; chi is their pole sum."""
 
+    def _hold(self, *columns) -> None:
+        """Build the TransitionSet of ``columns``, checked there, and hold it: once, when built."""
+        object.__setattr__(self, "_lines", TransitionSet.from_arrays(*columns))
+
     def transitions(self) -> TransitionSet:
         """The lines built and checked with the model."""
         return self._lines
@@ -149,7 +159,6 @@ class TlsEnsemble(LineModel):
     omega_exc: float
     beta: float
     gamma: float
-    _lines: TransitionSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require("> 0", n_emitters=self.n_emitters, gamma=self.gamma)
@@ -159,8 +168,7 @@ class TlsEnsemble(LineModel):
             raise ValidationError("beta must be >= 0 (math.inf for T = 0)")
         ngg = _line_weight(self.n_emitters, self.g)
         p_g, p_e = thermal_populations(self.beta, self.omega_exc)
-        lines = TransitionSet.from_arrays([self.omega_exc], [ngg], [p_g], [p_e], [self.gamma])
-        object.__setattr__(self, "_lines", lines)
+        self._hold([self.omega_exc], [ngg], [p_g], [p_e], [self.gamma])
 
 
 @dataclass(frozen=True)
@@ -223,13 +231,12 @@ class VibronicModel(LineModel):
     huang_rhys: float
     gamma: float
     m_max: int | None = None
-    _lines: TransitionSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require("> 0", n_emitters=self.n_emitters, omega_v=self.omega_v, gamma=self.gamma)
         _require(">= 0", g=self.g, huang_rhys=self.huang_rhys)
         _require("finite", omega_exc=self.omega_exc)
-        if math.exp(-self.huang_rhys) < sys.float_info.min:
+        if math.exp(-self.huang_rhys) < _TINY:
             raise ValidationError("huang_rhys must be < 708.3964: exp(-huang_rhys) underflows")
         if self.m_max is not None:
             # no upper bound: the progression stops where its weights underflow
@@ -239,11 +246,10 @@ class VibronicModel(LineModel):
         ngg = _line_weight(self.n_emitters, self.g)
         weights = ngg * _franck_condon_weights(self.huang_rhys, self.m_max)
         n = weights.size
-        lines = TransitionSet.from_arrays(
+        self._hold(
             self.omega_exc - self.huang_rhys * self.omega_v + np.arange(n) * self.omega_v,
             weights, np.ones(n), np.zeros(n), np.full(n, self.gamma),
         )
-        object.__setattr__(self, "_lines", lines)
 
 
 @dataclass(frozen=True)
@@ -262,7 +268,6 @@ class MultilevelModel(LineModel):
     n_emitters: float
     g_scale: float
     gamma: float
-    _lines: TransitionSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.levels)
@@ -293,12 +298,48 @@ class MultilevelModel(LineModel):
         _require("> 0", n_emitters=self.n_emitters, gamma=self.gamma)
         _require("finite", g_scale=self.g_scale)
         lv, name = self.levels, "n_emitters * g_scale**2 * amplitude**2"
-        lines = TransitionSet.from_arrays(*zip(*(
+        self._hold(*zip(*(
             (lv[z - 1][0] - lv[y - 1][0], _line_weight(self.n_emitters, self.g_scale, a, name),
              lv[y - 1][1], lv[z - 1][1], self.gamma)
             for y, z, a in self.dipoles
         )))
-        object.__setattr__(self, "_lines", lines)
+
+
+@dataclass(frozen=True)
+class TabulatedChi:
+    """Susceptibility read from a CSV file; ``path=None`` means chi = 0.
+
+    The table is read and checked once, when the model is built, and held
+    with it (like a line model's lines), so a missing or malformed file is
+    refused there and every chi call reuses the one read.
+    """
+
+    path: str | None
+    _table: ComplexSpectrum | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # through the module attribute, so a wrapper set on fileio sees the read
+        table = None if self.path is None else fileio.read_chi_csv(self.path)
+        object.__setattr__(self, "_table", table)
+
+    def transitions(self) -> None:
+        """None: a tabulated chi carries no line list."""
+        return None
+
+    def chi(self, grid: FrequencyGrid) -> ComplexSpectrum:
+        """The table on ``grid``: verbatim on its own grid, else interpolated."""
+        chi = self._table
+        if chi is None:
+            return ComplexSpectrum(grid, _frozen(np.zeros(grid.n_points, dtype=complex)))
+        if chi.grid == grid:
+            return chi
+        if grid.omega_min < chi.grid.omega_min or grid.omega_max > chi.grid.omega_max:
+            raise ValidationError(
+                "scenario grid extends beyond the tabulated susceptibility range"
+            )
+        re = np.interp(grid.points, chi.grid.points, chi.values.real)
+        im = np.interp(grid.points, chi.grid.points, chi.values.imag)
+        return ComplexSpectrum(grid, _frozen(re + 1j * im))
 
 
 # a model's lines and chi under function names; no caller in the package, but

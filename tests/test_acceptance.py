@@ -40,7 +40,6 @@ from polarispec.cli import (
 from polarispec.spectra import (
     CavityParams,
     green_finite_n,
-    landauer_transmission,
     photon_green_function,
     spectra_from_green,
     spectra_harmonic,
@@ -55,6 +54,8 @@ from polarispec.susceptibility import (
     vibronic_transitions,
     with_mirror_transitions,
 )
+
+from oracles import landauer_transmission
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polarispec.core import (
     AccuracyWarning,
@@ -26,6 +27,7 @@ from polarispec.bathmap import (
     surrogate_bath,
 )
 from polarispec.susceptibility import (
+    MultilevelModel,
     TlsEnsemble,
     Transition,
     TransitionSet,
@@ -250,6 +252,43 @@ class TestEffectiveTemperature:
             idx = int(round(f / 0.01)) - 1
             assert abs(g.points[idx] - f) < 1e-9
             assert abs(beff.values[idx] - beta) < 1e-9
+
+
+_TINY = np.finfo(float).tiny
+
+
+class TestDetailedBalance:
+    """At w0, beta_eff reads beta wherever exp(-beta * w0) * weight is a normal float.
+
+    There the ratio of absorption to emission is exactly exp(beta * w0).  The
+    bound is 1e-12 of beta, or of 1 / w0 where beta * w0 < 1: the logarithm of
+    a ratio near 1 carries an absolute rounding error near 1e-16.
+    """
+
+    @staticmethod
+    def _assert_reads_beta(model, w0, beta):
+        got = effective_temperature(model.transitions(), make_grid(w0, 2.0 * w0, 3)).values[0]
+        assert abs(got - beta) * w0 <= 1e-12 * max(beta * w0, 1.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(w0=st.floats(1e-3, 1e3), x=st.floats(0.0, 709.78), n=st.floats(1e-6, 1.0),
+           g=st.floats(1e-3, 1.0), gamma=st.floats(1e-3, 1.0))
+    @example(w0=1.0, x=700.0, n=1.0, g=1.0, gamma=0.3)  # once +inf under a fixed 1e-300 floor
+    @example(w0=1.0, x=709.0, n=1.0, g=1.0, gamma=0.3)
+    def test_thermal_tls(self, w0, x, n, g, gamma):
+        assume(math.exp(-x) * n * g * g >= _TINY)
+        self._assert_reads_beta(TlsEnsemble(n, g, w0, x / w0, gamma), w0, x / w0)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(w0=st.floats(1e-3, 1e3), x=st.floats(0.0, 709.78), n_levels=st.integers(2, 4),
+           amplitudes=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3),
+           gamma=st.floats(1e-3, 1.0))
+    def test_equally_spaced_boltzmann_ladder(self, w0, x, n_levels, amplitudes, gamma):
+        assume(math.exp(-x) * min(amplitudes) ** 2 >= _TINY)
+        boltz = np.exp(-x * np.arange(n_levels))
+        levels = tuple(zip((w0 * np.arange(n_levels)).tolist(), (boltz / boltz.sum()).tolist()))
+        dipoles = tuple((k, k + 1, a) for k, a in zip(range(1, n_levels), amplitudes))
+        self._assert_reads_beta(MultilevelModel(levels, dipoles, 1.0, 1.0, gamma), w0, x / w0)
 
 
 class TestReconstructCorrelation:
@@ -521,6 +560,12 @@ class TestBathArrays:
         squares = [g * g for g in bath.coupling.tolist()]
         assert bath.transitions().weight.tolist() == squares
         assert bath.total_coupling_sq == sum(squares)
+
+    def test_the_bath_holds_its_lines(self):
+        bath = surrogate_bath(_lab_tls_chi(), 16)
+        assert bath.transitions() is bath.transitions()
+        rebuilt = DiscretizedBath(bath.modes)
+        assert rebuilt.transitions() is rebuilt.transitions()
 
     def test_transitions_are_absorbing_lines_at_the_modes(self):
         bath = surrogate_bath(_lab_tls_chi(), 16)

@@ -112,7 +112,7 @@ def _line_sums_unblocked(ts, omega):
 
 def _effective_temperature_unblocked(ts, omega):
     num, den = _line_sums_unblocked(ts, omega)
-    dead = den < 1e-300
+    dead = den < np.finfo(float).tiny  # an emission sum below the normal floats
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.divide(num, den, out=num)
     if ((ratio < 1.0 - 1e-10) & ~dead).any():
@@ -273,8 +273,8 @@ def _uphill_lines(draw, omega):
         p_y = draw(st.floats(0.5, 1.0))
         # p_z <= p_y keeps every line passive, so no point is inverted
         p_z = draw(st.sampled_from([0.0, p_y, p_y * draw(st.floats(0.0, 1.0))]))
-        # a weight of 1e-296 leaves den below 1e-300 away from the line only
-        weight = draw(st.sampled_from([1.0, 0.3, 1e-296]))
+        # a weight of 1e-304 leaves den below the normal floats away from the line only
+        weight = draw(st.sampled_from([1.0, 0.3, 1e-304]))
         rows.append((w0, weight, p_y, p_z, draw(st.sampled_from([0.2, 0.01, 1.5]))))
     return TransitionSet.from_arrays(*zip(*rows))
 
@@ -291,7 +291,8 @@ class TestEffectiveTemperatureBlocks:
 
     def test_dead_points_in_some_blocks_only(self):
         g = make_grid(0.01, 100.0, 2 * _BLOCK + 3)
-        ts = TransitionSet.from_arrays([1.0, 2.0], [1.0, 1e-296], [0.9, 0.8], [0.0, 0.5],
+        # the emission sum of the 1e-304 line is subnormal from w = 17 on
+        ts = TransitionSet.from_arrays([1.0, 2.0], [1.0, 1e-304], [0.9, 0.8], [0.0, 0.5],
                                        [0.2, 0.1])
         got = effective_temperature(ts, g).values
         dead = np.isinf(got)

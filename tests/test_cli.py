@@ -565,7 +565,7 @@ class TestModelChiLookup:
 
     def test_moved_models_still_import_from_cli(self):
         assert cli.DisorderedTls is susceptibility.DisorderedTls
-        assert cli.TabulatedChi is fileio.TabulatedChi
+        assert cli.TabulatedChi is susceptibility.TabulatedChi
 
 
 class TestMainEntry:
@@ -1294,7 +1294,7 @@ class TestTabulatedChi:
         table = TlsEnsemble(1.0, 1.0, 0.5, math.inf, 0.3).chi(make_grid(-5, 5, 1601))
         path = str(tmp_path / "chi.csv")
         fileio.write_chi_csv(path, table)
-        return fileio.TabulatedChi(path), fileio.read_chi_csv(path)
+        return susceptibility.TabulatedChi(path), fileio.read_chi_csv(path)
 
     def test_wider_finer_table_is_interpolated(self, tmp_path):
         model, table = self._table(tmp_path)

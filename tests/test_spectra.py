@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polarispec.core import (
     ComplexSpectrum,
@@ -15,24 +15,34 @@ from polarispec.core import (
     local_maxima,
     make_grid,
 )
-from polarispec.cli import main, parse_scenario, preset_config, run_scenario
+from polarispec.cli import (
+    main,
+    parse_scenario,
+    parse_sweep,
+    preset_config,
+    preset_names,
+    run_scenario,
+)
 from polarispec.bathmap import BathMode, DiscretizedBath, discretize_bath, spectral_density_from_chi
 from polarispec.spectra import (
     CavityParams,
     green_finite_n,
-    landauer_transmission,
     photon_green_function,
     spectra_from_green,
     spectra_harmonic,
 )
 from polarispec.susceptibility import (
     DisorderSpec,
+    MultilevelModel,
     TlsEnsemble,
     Transition,
     TransitionSet,
+    VibronicModel,
     chi_disordered,
     chi_multilevel,
 )
+
+from oracles import landauer_transmission, resolvent_green
 
 
 def _zero_chi(grid):
@@ -375,6 +385,94 @@ class TestLandauer:
         right = np.interp(half, t[hi : hi + 2][::-1], w[hi : hi + 2][::-1])
         fwhm = right - left
         assert fwhm == pytest.approx(cav.kappa, rel=1e-3)
+
+
+def _line_presets():
+    """(tag, model, cavity, grid) of every preset scenario, sweep values included, with lines."""
+    for name in preset_names():
+        cfg = preset_config(name)
+        scenarios = parse_sweep(cfg).scenarios if "base" in cfg else [parse_scenario(cfg)]
+        for i, s in enumerate(scenarios):
+            if s.model.transitions() is not None:
+                yield f"{name}[{i}]", s.model, s.cavity, s.grid
+
+
+@st.composite
+def _line_models(draw):
+    """A passive TLS, vibronic progression or multilevel ladder of at most 200 lines."""
+    n, g = draw(st.floats(0.1, 4.0)), draw(st.floats(0.0, 2.0))
+    w0, gamma = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.01, 1.0))
+    kind = draw(st.sampled_from(["tls", "vibronic", "multilevel"]))
+    if kind == "tls":  # a thermal line below w = 0 would be inverted
+        beta = draw(st.one_of(st.just(math.inf), st.floats(0.0, 20.0))) if w0 > 0 else math.inf
+        return TlsEnsemble(n, g, w0, beta, gamma)
+    if kind == "vibronic":  # every line within about 8 of w0
+        w_v = draw(st.floats(0.02, 1.0))
+        m_max = draw(st.one_of(st.none(), st.integers(0, min(199, int(6.0 / w_v)))))
+        s = draw(st.floats(0.0, min(60.0, 3.0 / w_v)))
+        return VibronicModel(n, g, w0, w_v, s, gamma, m_max)
+    k = draw(st.integers(2, 6))
+    energies = np.cumsum([w0] + draw(st.lists(st.floats(0.05, 2.0), min_size=k - 1,
+                                              max_size=k - 1)))
+    # populations fall with energy, so every uphill dipole is passive
+    pops = np.sort(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))[::-1]
+    pops /= pops.sum()
+    pairs = [(y, z) for y in range(1, k + 1) for z in range(y + 1, k + 1)]
+    dipoles = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
+    return MultilevelModel(
+        tuple(zip(energies.tolist(), pops.tolist())),
+        tuple((y, z, draw(st.floats(0.1, 2.0))) for y, z in dipoles),
+        n, g, gamma,
+    )
+
+
+class TestResolventOracle:
+    """D, T, R and A of a line model against the coupled-oscillator resolvent.
+
+    The oracle diagonalizes the photon-plus-lines matrix once
+    (:func:`oracles.resolvent_green`), and T, R, A follow from its D by the
+    port formulas; the package evaluates chi as a pole sum and T/R/A from chi.
+    The oracle's rounding grows with the span of the line frequencies over
+    the narrowest width, so the drawn lines stay within about 8 of each
+    other; there its error stays near 1e-13 of max|D| (at most 1.3e-13
+    over 1,500 random draws and the 200-line example).
+    """
+
+    @staticmethod
+    def _check(model, cav, grid):
+        """cond(V) of the oracle; D and T/R/A must match unless it exceeds 1e6."""
+        d_ref, cond = resolvent_green(model.transitions(), cav, grid.points)
+        if cond > 1e6:  # near an exceptional point the pole expansion loses digits
+            return cond
+        chi = model.chi(grid)
+        d = photon_green_function(chi, cav).values
+        assert np.abs(d - d_ref).max() <= 1e-12 * np.abs(d_ref).max()
+        tra, ref = spectra_harmonic(chi, cav), spectra_from_green(ComplexSpectrum(grid, d_ref), cav)
+        for f in ("transmission", "reflection", "absorption"):
+            assert np.abs(getattr(tra, f).values - getattr(ref, f).values).max() <= 1e-12
+        return cond
+
+    def test_every_line_preset(self):
+        tags = []
+        for tag, model, cav, grid in _line_presets():
+            assert self._check(model, cav, grid) <= 1e6, tag
+            tags.append(tag)
+        assert len(tags) == 11  # fig2a, fig2b's six betas, fig4, fig5a/b/c
+
+    def test_line_models(self):
+        grid = make_grid(-6.0, 6.0, 601)
+        conds = []
+
+        @settings(derandomize=True, deadline=None, max_examples=40)
+        @given(model=_line_models(),
+               cavity=st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 0.5), st.floats(0.01, 0.5)))
+        @example(model=VibronicModel(4.0, 2.0, 0.5, 0.03, 20.0, 0.01, 199), cavity=(1.0, 0.01, 0.01))
+        def check(model, cavity):
+            conds.append(self._check(model, CavityParams(*cavity), grid))
+
+        check()
+        skipped = sum(c > 1e6 for c in conds)
+        assert skipped <= len(conds) // 10, f"{skipped} of {len(conds)} draws near an exceptional point"
 
 
 class TestNumericalGuards:
